@@ -33,6 +33,7 @@ GapResult measure(const exper::Experiment& ex, core::Target target,
     cfg.granularity = k;
     cfg.interval = ex.interval(1024.0);
     cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
+    cfg.cache = &ex.binned_cache();
     cfg.replications = 5;
     cfg.base_seed = 7;
     phis[i] = exper::run_cell(cfg).phi_mean();

@@ -37,6 +37,7 @@ void measure_env(const char* label, const exper::Experiment& ex,
       cfg.granularity = 64;
       cfg.interval = ex.interval(1024.0);
       cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
+      cfg.cache = &ex.binned_cache();
       cfg.replications = 5;
       cfg.base_seed = 7;
       const double phi = exper::run_cell(cfg).phi_mean();

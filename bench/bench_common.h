@@ -65,20 +65,6 @@ inline int bench_jobs(int argc, char** argv) {
   return 0;
 }
 
-/// Honor `--legacy-scan`: force the original streaming per-packet path
-/// instead of the fused cache fast path (see docs/PERFORMANCE.md). Returns
-/// whether the flag was present. NETSAMPLE_LEGACY_SCAN=1 in the environment
-/// has the same effect without the flag.
-inline bool bench_legacy_scan(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--legacy-scan") {
-      core::force_legacy_scan(true);
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Experiment context for a figure binary: `--pcap FILE` (or NETSAMPLE_PCAP)
 /// regenerates the figure from a real capture instead of the synthetic hour.
 /// Real captures are read in salvage mode, and any data loss — corrupt

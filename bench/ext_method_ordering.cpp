@@ -35,6 +35,7 @@ int main() {
       cfg.granularity = 64;
       cfg.interval = ex.interval(1024.0);
       cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
+      cfg.cache = &ex.binned_cache();
       cfg.replications = 12;
       cfg.base_seed = 1234;
       phis.push_back(exper::run_cell(cfg).phi_values());

@@ -12,7 +12,7 @@ using namespace netsample;
 int main(int argc, char** argv) {
   const auto options = tools::parse_figure_args(
       argc, argv,
-      "fig06_phi_boxplots [--jobs N] [--pcap FILE] [--legacy-scan] "
+      "fig06_phi_boxplots [--jobs N] [--pcap FILE] "
       "[--metrics-out FILE] [--trace-out FILE]");
   bench::banner("Figure 6 (paper: boxplots of systematic phi scores)",
                 "Packet size, 1024s interval, offset-replicated boxplots");

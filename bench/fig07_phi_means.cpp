@@ -10,7 +10,7 @@ using namespace netsample;
 int main(int argc, char** argv) {
   const auto options = tools::parse_figure_args(
       argc, argv,
-      "fig07_phi_means [--jobs N] [--pcap FILE] [--legacy-scan] "
+      "fig07_phi_means [--jobs N] [--pcap FILE] "
       "[--metrics-out FILE] [--trace-out FILE]");
   bench::banner("Figure 7 (paper: means of the Figure 6 boxplots)",
                 "Mean systematic phi, packet size, 1024s interval");

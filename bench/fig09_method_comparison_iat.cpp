@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   const auto options = netsample::tools::parse_figure_args(
-      argc, argv, "fig09_method_comparison_iat [--jobs N] [--pcap FILE] [--legacy-scan] [--metrics-out FILE] [--trace-out FILE]");
+      argc, argv, "fig09_method_comparison_iat [--jobs N] [--pcap FILE] [--metrics-out FILE] [--trace-out FILE]");
   return netsample::bench::run_method_comparison(
       netsample::core::Target::kInterarrivalTime, "fig09",
       "Figure 9 (paper: mean phi vs fraction, interarrival time, 5 methods)", options);

@@ -39,8 +39,7 @@ void BM_ParallelSweep(benchmark::State& state) {
   base.mean_interarrival_usec = ex.mean_interarrival_usec();
   base.replications = 5;
   base.base_seed = 23;
-  // Cache construction happens once, outside the timing loop; set
-  // NETSAMPLE_LEGACY_SCAN=1 to benchmark the streaming path instead.
+  // Cache construction happens once, outside the timing loop.
   base.cache = &ex.binned_cache();
   const auto ladder = exper::granularity_ladder(4, 1024);
 
@@ -50,7 +49,6 @@ void BM_ParallelSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(cells);
   }
   state.counters["jobs"] = jobs;
-  state.counters["fast_path"] = exper::cell_uses_fast_path(base) ? 1 : 0;
   state.counters["cells"] = static_cast<double>(ladder.size());
   state.counters["packets"] = static_cast<double>(ex.population_size());
 }

@@ -1,13 +1,14 @@
 // A/B/C wall-clock harness for the fused sweep engine: runs the full
-// method x granularity grid cell-by-cell on the legacy streaming scan, the
-// fast path with scalar kernels, and the fast path with the best SIMD
-// variant, checks that the phi values agree exactly across all three, and
-// writes per-cell timings plus headline speedups and a `machine` block to a
-// JSON artifact (BENCH_sweep.json in CI).
+// method x granularity grid cell-by-cell through the streaming oracle
+// (exper::run_cell_reference, the "legacy" column), run_cell with scalar
+// kernels, and run_cell with the best SIMD variant, checks that the phi
+// values agree exactly across all three, and writes per-cell timings plus
+// headline speedups and a `machine` block to a JSON artifact
+// (BENCH_sweep.json in CI).
 //
 // Unlike the micro_* google-benchmark binaries this is a plain-chrono
-// driver, because each measurement must toggle the global legacy-scan and
-// SIMD-variant switches around an otherwise identical run_cell call.
+// driver, because each measurement must toggle the global SIMD-variant
+// switch around an otherwise identical cell call.
 //
 //   --out FILE       where to write the JSON report (default BENCH_sweep.json)
 //   --minutes M      synthetic trace length (default 8)
@@ -17,7 +18,6 @@
 //                    memory-mapped TraceStore) and report
 //                    pkts_per_sec_multiproc plus the store map-vs-rebuild
 //                    amortization (docs/SHARDING.md)
-//   --legacy-scan    time the legacy path only (no comparison, no speedup)
 //   --simd VARIANT   measure VARIANT instead of the best available one
 //   --baseline FILE  compare the headline against a committed baseline
 //   --tolerance PCT  allowed headline regression vs baseline (default 25)
@@ -53,19 +53,20 @@ double parse_positive_double(const char* flag, const char* text) {
   return v;
 }
 
-/// Mean wall-clock milliseconds for run_cell on one path, repeating the
-/// call until at least `min_elapsed_ms` has accumulated so that very fast
-/// cells (the whole point of the fast path) still get a stable reading.
-double time_cell(const exper::CellConfig& cfg, bool legacy,
+/// Mean wall-clock milliseconds for one cell runner (run_cell or the
+/// streaming run_cell_reference), repeating the call until at least
+/// `min_elapsed_ms` has accumulated so that very fast cells (the whole
+/// point of the fast path) still get a stable reading.
+double time_cell(const exper::CellConfig& cfg,
+                 exper::CellResult (*runner)(const exper::CellConfig&),
                  simd::Variant variant, std::vector<double>* phis,
                  double min_elapsed_ms = 10.0) {
-  core::force_legacy_scan(legacy);
   simd::force_variant(variant);
   double elapsed_ms = 0.0;
   int runs = 0;
   do {
     const auto t0 = Clock::now();
-    const auto result = exper::run_cell(cfg);
+    const auto result = runner(cfg);
     const auto t1 = Clock::now();
     elapsed_ms +=
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -163,7 +164,6 @@ int main(int argc, char** argv) {
   double tolerance_pct = 25.0;
   int reps = 5;
   int workers = 0;  // 0 = skip the multi-process leg
-  const bool legacy_only = bench::bench_legacy_scan(argc, argv);
   const auto forced = bench::bench_simd(argc, argv);
   // --metrics-out/--trace-out also serve as the obs-overhead A/B switch:
   // the acceptance bar is <3% on the fast path with metrics enabled.
@@ -196,14 +196,12 @@ int main(int argc, char** argv) {
   // availability, so forcing neon on x86 measures scalar) or the best one.
   const simd::Variant measured =
       forced.has_value() ? simd::active_variant() : simd::best_variant();
-  const bool with_simd = !legacy_only && measured != simd::Variant::kScalar;
+  const bool with_simd = measured != simd::Variant::kScalar;
 
   bench::banner("micro_sweep (fused sweep engine A/B/C harness)",
-                legacy_only
-                    ? "Timing the legacy streaming scan only"
-                    : std::string("Legacy scan vs fast path (scalar) vs "
-                                  "fast path (") +
-                          simd::variant_name(measured) + "), per grid cell");
+                std::string("Streaming reference vs run_cell (scalar) vs "
+                            "run_cell (") +
+                    simd::variant_name(measured) + "), per grid cell");
   bench::note("machine class: " + bench::machine_class(measured));
 
   exper::Experiment ex(bench::kDefaultSeed, minutes);
@@ -247,56 +245,45 @@ int main(int argc, char** argv) {
       cfg.cache = &cache;
 
       std::vector<double> phi_legacy, phi_scalar, phi_simd;
-      const double legacy_ms = time_cell(cfg, /*legacy=*/true,
-                                         simd::Variant::kScalar, &phi_legacy);
-      double scalar_ms = 0.0, simd_ms = 0.0;
-      bool match = true;
-      if (!legacy_only) {
-        scalar_ms = time_cell(cfg, /*legacy=*/false, simd::Variant::kScalar,
-                              &phi_scalar);
-        // Bit-identical, not approximately equal: every path feeds the same
-        // integer histogram counts into the same scoring code.
-        match = phi_scalar == phi_legacy;
-        if (with_simd) {
-          simd_ms = time_cell(cfg, /*legacy=*/false, measured, &phi_simd);
-          match = match && phi_simd == phi_legacy;
-        } else {
-          simd_ms = scalar_ms;
-        }
-        all_match = all_match && match;
-        if (k >= kHeadlineMinK) {
-          headline_legacy_ms += legacy_ms;
-          headline_scalar_ms += scalar_ms;
-          headline_best_ms += simd_ms;
-          ++headline_cells;
-        }
+      const double legacy_ms =
+          time_cell(cfg, exper::run_cell_reference, simd::Variant::kScalar,
+                    &phi_legacy);
+      const double scalar_ms = time_cell(cfg, exper::run_cell,
+                                         simd::Variant::kScalar, &phi_scalar);
+      // Bit-identical, not approximately equal: every path feeds the same
+      // integer histogram counts into the same scoring code.
+      bool match = phi_scalar == phi_legacy;
+      double simd_ms = scalar_ms;
+      if (with_simd) {
+        simd_ms = time_cell(cfg, exper::run_cell, measured, &phi_simd);
+        match = match && phi_simd == phi_legacy;
+      }
+      all_match = all_match && match;
+      if (k >= kHeadlineMinK) {
+        headline_legacy_ms += legacy_ms;
+        headline_scalar_ms += scalar_ms;
+        headline_best_ms += simd_ms;
+        ++headline_cells;
       }
 
       t.add_row({core::method_name(method), fmt_fraction(k),
-                 fmt_double(legacy_ms, 3),
-                 legacy_only ? "-" : fmt_double(scalar_ms, 3),
-                 legacy_only || !with_simd ? "-" : fmt_double(simd_ms, 3),
-                 legacy_only ? "-" : fmt_double(legacy_ms / simd_ms, 1),
-                 legacy_only || !with_simd
-                     ? "-"
-                     : fmt_double(scalar_ms / simd_ms, 2)});
+                 fmt_double(legacy_ms, 3), fmt_double(scalar_ms, 3),
+                 with_simd ? fmt_double(simd_ms, 3) : "-",
+                 fmt_double(legacy_ms / simd_ms, 1),
+                 with_simd ? fmt_double(scalar_ms / simd_ms, 2) : "-"});
 
       if (!first_cell) cells_json << ",";
       first_cell = false;
       cells_json << "\n    {\"method\": \"" << core::method_name(method)
                  << "\", \"granularity\": " << k
-                 << ", \"wall_ms_legacy\": " << legacy_ms;
-      if (!legacy_only) {
-        cells_json << ", \"wall_ms_scalar\": " << scalar_ms
-                   << ", \"wall_ms_simd\": " << simd_ms
-                   << ", \"speedup\": " << legacy_ms / simd_ms
-                   << ", \"simd_speedup\": " << scalar_ms / simd_ms
-                   << ", \"phi_match\": " << (match ? "true" : "false");
-      }
-      cells_json << "}";
+                 << ", \"wall_ms_legacy\": " << legacy_ms
+                 << ", \"wall_ms_scalar\": " << scalar_ms
+                 << ", \"wall_ms_simd\": " << simd_ms
+                 << ", \"speedup\": " << legacy_ms / simd_ms
+                 << ", \"simd_speedup\": " << scalar_ms / simd_ms
+                 << ", \"phi_match\": " << (match ? "true" : "false") << "}";
     }
   }
-  core::clear_legacy_scan_override();
   simd::clear_variant_override();
   t.print(std::cout);
 
@@ -310,7 +297,7 @@ int main(int argc, char** argv) {
   std::uint64_t multiproc_worker_builds = 0;
   std::size_t multiproc_cells = 0;
   bool multiproc_ok = true;
-  const bool run_multiproc = workers > 0 && !legacy_only;
+  const bool run_multiproc = workers > 0;
   if (run_multiproc) {
     const std::string store_path = out_path + ".nstore";
     std::filesystem::remove(store_path);
@@ -390,74 +377,69 @@ int main(int argc, char** argv) {
   out << "{\n  \"trace_minutes\": " << minutes
       << ",\n  \"packets\": " << ex.population_size()
       << ",\n  \"replications\": " << reps
-      << ",\n  \"legacy_only\": " << (legacy_only ? "true" : "false")
       << ",\n  \"machine\": " << bench::machine_json(measured)
       << ",\n  \"cache_build\": {\"scalar_ms\": " << cache_scalar_ms
       << ", \"simd_ms\": " << cache_simd_ms
       << ", \"simd_speedup\": " << cache_scalar_ms / cache_simd_ms << "}"
-      << ",\n  \"cells\": [" << cells_json.str() << "\n  ]";
-  if (!legacy_only) {
-    out << ",\n  \"headline\": {\"min_granularity\": " << kHeadlineMinK
-        << ", \"cells\": " << headline_cells
-        << ", \"legacy_ms\": " << headline_legacy_ms
-        << ", \"scalar_ms\": " << headline_scalar_ms
-        << ", \"best_ms\": " << headline_best_ms
-        << ", \"speedup\": " << headline_legacy_ms / headline_best_ms
-        << ", \"simd_speedup\": " << headline_scalar_ms / headline_best_ms
-        << ", \"pkts_per_sec_best\": " << pkts_per_sec_best;
-    if (run_multiproc) {
-      out << ", \"pkts_per_sec_multiproc\": " << pkts_per_sec_multiproc;
-    }
-    out << "}";
-    if (run_multiproc) {
-      out << ",\n  \"multiproc\": {\"workers\": " << workers
-          << ", \"cells\": " << multiproc_cells
-          << ", \"wall_ms\": " << multiproc_wall_ms
-          << ", \"store_write_ms\": " << store_write_ms
-          << ", \"store_map_ms\": " << store_map_ms
-          << ", \"cache_rebuild_ms\": " << cache_scalar_ms
-          << ", \"map_vs_rebuild\": " << cache_scalar_ms / store_map_ms
-          << ", \"worker_cache_builds\": " << multiproc_worker_builds
-          << ", \"all_ok\": " << (multiproc_ok ? "true" : "false") << "}";
-    }
-    out << ",\n  \"phi_all_match\": " << (all_match ? "true" : "false");
+      << ",\n  \"cells\": [" << cells_json.str() << "\n  ]"
+      << ",\n  \"headline\": {\"min_granularity\": " << kHeadlineMinK
+      << ", \"cells\": " << headline_cells
+      << ", \"legacy_ms\": " << headline_legacy_ms
+      << ", \"scalar_ms\": " << headline_scalar_ms
+      << ", \"best_ms\": " << headline_best_ms
+      << ", \"speedup\": " << headline_legacy_ms / headline_best_ms
+      << ", \"simd_speedup\": " << headline_scalar_ms / headline_best_ms
+      << ", \"pkts_per_sec_best\": " << pkts_per_sec_best;
+  if (run_multiproc) {
+    out << ", \"pkts_per_sec_multiproc\": " << pkts_per_sec_multiproc;
   }
-  out << "\n}\n";
+  out << "}";
+  if (run_multiproc) {
+    out << ",\n  \"multiproc\": {\"workers\": " << workers
+        << ", \"cells\": " << multiproc_cells
+        << ", \"wall_ms\": " << multiproc_wall_ms
+        << ", \"store_write_ms\": " << store_write_ms
+        << ", \"store_map_ms\": " << store_map_ms
+        << ", \"cache_rebuild_ms\": " << cache_scalar_ms
+        << ", \"map_vs_rebuild\": " << cache_scalar_ms / store_map_ms
+        << ", \"worker_cache_builds\": " << multiproc_worker_builds
+        << ", \"all_ok\": " << (multiproc_ok ? "true" : "false") << "}";
+  }
+  out << ",\n  \"phi_all_match\": " << (all_match ? "true" : "false")
+      << "\n}\n";
 
-  if (!legacy_only) {
-    bench::note("headline (k >= " + std::to_string(kHeadlineMinK) +
-                "): " + fmt_double(headline_legacy_ms, 1) + " ms legacy vs " +
-                fmt_double(headline_scalar_ms, 3) + " ms scalar vs " +
-                fmt_double(headline_best_ms, 3) + " ms " +
-                simd::variant_name(measured) + " = " +
-                fmt_double(headline_legacy_ms / headline_best_ms, 1) +
-                "x total, " +
-                fmt_double(headline_scalar_ms / headline_best_ms, 2) +
-                "x from simd");
-    bench::note("best-path throughput: " +
-                fmt_double(pkts_per_sec_best / 1e6, 2) + " Mpkt/s");
-    bench::note("cache build: " + fmt_double(cache_scalar_ms, 2) +
-                " ms scalar vs " + fmt_double(cache_simd_ms, 2) + " ms " +
-                simd::variant_name(measured) + " = " +
-                fmt_double(cache_scalar_ms / cache_simd_ms, 2) + "x");
-    bench::note(all_match ? "phi values bit-identical on every cell and path"
-                          : "PHI MISMATCH — paths disagree");
-    if (run_multiproc) {
-      bench::note("multiproc (" + std::to_string(workers) + " workers, " +
-                  std::to_string(multiproc_cells) + " headline cells): " +
-                  fmt_double(multiproc_wall_ms, 1) + " ms wall = " +
-                  fmt_double(pkts_per_sec_multiproc / 1e6, 2) + " Mpkt/s");
-      bench::note("store amortization: write once " +
-                  fmt_double(store_write_ms, 2) + " ms, then " +
-                  fmt_double(store_map_ms, 3) + " ms map per process vs " +
-                  fmt_double(cache_scalar_ms, 2) + " ms rebuild = " +
-                  fmt_double(cache_scalar_ms / store_map_ms, 1) +
-                  "x per extra process (worker cache builds: " +
-                  std::to_string(multiproc_worker_builds) + ")");
-      if (!multiproc_ok) {
-        bench::note("MULTIPROC FAILURE — sharded sweep failed a cell or a "
-                    "worker re-binned");
-      }
+  bench::note("headline (k >= " + std::to_string(kHeadlineMinK) +
+              "): " + fmt_double(headline_legacy_ms, 1) + " ms legacy vs " +
+              fmt_double(headline_scalar_ms, 3) + " ms scalar vs " +
+              fmt_double(headline_best_ms, 3) + " ms " +
+              simd::variant_name(measured) + " = " +
+              fmt_double(headline_legacy_ms / headline_best_ms, 1) +
+              "x total, " +
+              fmt_double(headline_scalar_ms / headline_best_ms, 2) +
+              "x from simd");
+  bench::note("best-path throughput: " +
+              fmt_double(pkts_per_sec_best / 1e6, 2) + " Mpkt/s");
+  bench::note("cache build: " + fmt_double(cache_scalar_ms, 2) +
+              " ms scalar vs " + fmt_double(cache_simd_ms, 2) + " ms " +
+              simd::variant_name(measured) + " = " +
+              fmt_double(cache_scalar_ms / cache_simd_ms, 2) + "x");
+  bench::note(all_match ? "phi values bit-identical on every cell and path"
+                        : "PHI MISMATCH — paths disagree");
+  if (run_multiproc) {
+    bench::note("multiproc (" + std::to_string(workers) + " workers, " +
+                std::to_string(multiproc_cells) + " headline cells): " +
+                fmt_double(multiproc_wall_ms, 1) + " ms wall = " +
+                fmt_double(pkts_per_sec_multiproc / 1e6, 2) + " Mpkt/s");
+    bench::note("store amortization: write once " +
+                fmt_double(store_write_ms, 2) + " ms, then " +
+                fmt_double(store_map_ms, 3) + " ms map per process vs " +
+                fmt_double(cache_scalar_ms, 2) + " ms rebuild = " +
+                fmt_double(cache_scalar_ms / store_map_ms, 1) +
+                "x per extra process (worker cache builds: " +
+                std::to_string(multiproc_worker_builds) + ")");
+    if (!multiproc_ok) {
+      bench::note("MULTIPROC FAILURE — sharded sweep failed a cell or a "
+                  "worker re-binned");
     }
   }
   bench::note("wrote " + out_path);
@@ -465,7 +447,7 @@ int main(int argc, char** argv) {
   if (!all_match) return 1;
   if (run_multiproc && !multiproc_ok) return 1;
 
-  if (!legacy_only && !baseline_path.empty()) {
+  if (!baseline_path.empty()) {
     const int rc =
         check_baseline(baseline_path, bench::machine_class(measured), minutes,
                        reps, pkts_per_sec_best, tolerance_pct);

@@ -34,9 +34,9 @@ bool cpu_has_neon() {
 #endif
 }
 
-/// NETSAMPLE_SIMD, read once (same caching contract as
-/// NETSAMPLE_LEGACY_SCAN). Empty or unset means "no preference"; an unknown
-/// value warns once and is ignored rather than silently changing results.
+/// NETSAMPLE_SIMD, read once and cached for the process. Empty or unset
+/// means "no preference"; an unknown value warns once and is ignored rather
+/// than silently changing results.
 std::optional<Variant> env_variant() {
   static const std::optional<Variant> value = [] {
     const char* e = std::getenv("NETSAMPLE_SIMD");

@@ -72,9 +72,8 @@ struct Sample {
                                                     Target t);
 
 /// Process-wide count of population_values() calls. Instrumentation for the
-/// hoisting regression tests: sweeping a granularity ladder must materialize
-/// the population exactly once per (interval, target) on the legacy path and
-/// never on the cache fast path.
+/// sweep regression test: a granularity ladder through run_cell never
+/// materializes the population (only the streaming oracle does).
 [[nodiscard]] std::uint64_t population_values_call_count();
 
 /// Target observable for a sample: sizes of selected packets, or the

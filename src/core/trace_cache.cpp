@@ -1,9 +1,6 @@
 #include "core/trace_cache.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/simd/simd.h"
@@ -16,8 +13,8 @@ BinnedTraceCache::BinnedTraceCache(trace::TraceView base)
       size_edges_own_(paper_bin_edges(Target::kPacketSize)),
       gap_edges_own_(paper_bin_edges(Target::kInterarrivalTime)) {
   const std::size_t n = base.size();
-  // Bin ids come from the same Histogram::bin_index the streaming path
-  // uses, so fast and legacy binning cannot drift apart.
+  // Bin ids come from the same Histogram::bin_index the streaming oracle
+  // uses, so the two binnings cannot drift apart.
   const stats::Histogram size_layout{std::vector<double>(size_edges_own_)};
   const stats::Histogram gap_layout{std::vector<double>(gap_edges_own_)};
   const std::size_t size_bins = size_layout.bin_count();
@@ -214,37 +211,6 @@ stats::Histogram BinnedTraceCache::sample_histogram(
   return stats::Histogram::with_counts(
       std::vector<double>(gap_edges_.begin(), gap_edges_.end()),
       std::move(counts));
-}
-
-// ---------------------------------------------------------------------------
-// Legacy-scan switch
-
-namespace {
-
-bool legacy_env_default() {
-  static const bool value = [] {
-    const char* e = std::getenv("NETSAMPLE_LEGACY_SCAN");
-    return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
-  }();
-  return value;
-}
-
-// -1 = no override (follow the environment), 0 = fast path, 1 = legacy.
-std::atomic<int> g_legacy_override{-1};
-
-}  // namespace
-
-bool legacy_scan_forced() {
-  const int o = g_legacy_override.load(std::memory_order_relaxed);
-  return o < 0 ? legacy_env_default() : o != 0;
-}
-
-void force_legacy_scan(bool on) {
-  g_legacy_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void clear_legacy_scan_override() {
-  g_legacy_override.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace netsample::core

@@ -22,8 +22,7 @@
 // a parallel sweep (see docs/PARALLELISM.md). Layer 2, the index-emitting
 // sampler kernels that consume it, lives in core/select_indices.h. The
 // streaming Sampler hierarchy remains the operational model and the
-// correctness oracle; set NETSAMPLE_LEGACY_SCAN=1 (or --legacy-scan on the
-// bench binaries) to force the original per-packet path everywhere.
+// correctness oracle (exper::run_cell_reference).
 #pragma once
 
 #include <cstdint>
@@ -140,18 +139,5 @@ class BinnedTraceCache {
   //   gap_prefix_ [b*(N+1) + i] = #{ 1 <= j < i : gap_bin_[j] == b }
   std::span<const std::uint32_t> size_prefix_, gap_prefix_;
 };
-
-/// True when the legacy streaming scan is forced — either programmatically
-/// via force_legacy_scan() or by the NETSAMPLE_LEGACY_SCAN environment
-/// variable (any value other than empty or "0"). The experiment runner
-/// consults this before taking the cache fast path.
-[[nodiscard]] bool legacy_scan_forced();
-
-/// Programmatic override (wins over the environment variable). The bench
-/// binaries' --legacy-scan flag and the A/B perf harness use this.
-void force_legacy_scan(bool on);
-
-/// Drop the programmatic override, restoring the environment default.
-void clear_legacy_scan_override();
 
 }  // namespace netsample::core

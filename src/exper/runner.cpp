@@ -5,7 +5,6 @@
 
 #include "core/select_indices.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace netsample::exper {
 
@@ -88,65 +87,34 @@ void validate_cell(const CellConfig& config) {
   }
 }
 
-/// One bulk registry update per completed cell (never per packet): which
-/// engine ran, how many replications, the φ values produced, and — on the
-/// legacy path — how many packets the streaming scan walked. Fast-path
-/// packet accounting happens inside core::select_indices, which knows the
-/// per-kernel scan shape. Everything here derives from seeds and packet
-/// counts, so it all belongs to the deterministic export section.
-void record_cell_run(const CellResult& result, bool fast_path,
-                     std::size_t legacy_scanned) {
+/// One bulk registry update per completed cell (never per packet): how many
+/// replications ran and the φ values they produced. Packet accounting
+/// happens inside core::select_indices, which knows the per-kernel scan
+/// shape. Everything here derives from seeds and packet counts, so it all
+/// belongs to the deterministic export section.
+void record_cell_run(const CellResult& result) {
   if (!obs::enabled()) return;
   auto& reg = obs::registry();
-  static obs::Counter& fast = reg.counter("netsample_cell_fastpath_total");
-  static obs::Counter& legacy = reg.counter("netsample_cell_legacy_total");
+  static obs::Counter& cells = reg.counter("netsample_cell_fastpath_total");
   static obs::Counter& reps = reg.counter("netsample_cell_replications_total");
-  static obs::Counter& scanned =
-      reg.counter("netsample_scan_packets_total");
   static obs::Counter& samples =
       reg.counter("netsample_sample_packets_total");
   static obs::HistogramMetric& phi =
       reg.histogram("netsample_phi", obs::phi_bin_edges());
-  (fast_path ? fast : legacy).increment();
+  cells.increment();
   reps.add(result.replications.size());
-  scanned.add(legacy_scanned);
   for (const auto& m : result.replications) {
     phi.observe(m.phi);
     samples.add(m.sample_n);
   }
 }
 
-// Legacy streaming path with the population histogram already binned (it
-// depends only on the interval and target, so granularity sweeps hoist it).
-CellResult run_cell_replications(const CellConfig& config,
-                                 const stats::Histogram& layout,
-                                 const stats::Histogram& population) {
-  const double fraction = 1.0 / static_cast<double>(config.granularity);
-  CellResult result;
-  result.config = config;
-  result.replications.reserve(static_cast<std::size_t>(config.replications));
-  for (int r = 0; r < config.replications; ++r) {
-    util::throw_if_stopped(config.cancel);
-    obs::Span scan_span("scan");
-    auto sampler = core::make_sampler(replication_spec(config, r));
-    const auto sample = core::draw(config.interval, *sampler, config.cancel);
-    const auto observed =
-        core::bin_values(core::sample_values(sample, config.target), layout);
-    result.replications.push_back(
-        core::score_sample(observed, population, fraction));
-  }
-  record_cell_run(result, /*fast_path=*/false,
-                  config.interval.size() *
-                      static_cast<std::size_t>(config.replications));
-  return result;
-}
-
-// Fused fast path: population from prefix-sum subtraction, replications via
-// index-emitting kernels + bin-id accumulation. No per-packet work outside
-// the kernels themselves.
-CellResult run_cell_fast(const CellConfig& config, std::size_t begin,
-                         std::size_t end) {
-  const core::BinnedTraceCache& cache = *config.cache;
+// Population from prefix-sum subtraction, replications via index-emitting
+// kernels + bin-id accumulation. No per-packet work outside the kernels
+// themselves. `begin` is the interval's offset within cache.base().
+CellResult score_cell(const CellConfig& config,
+                      const core::BinnedTraceCache& cache, std::size_t begin) {
+  const std::size_t end = begin + config.interval.size();
   const auto population =
       cache.population_histogram(config.target, begin, end);
   const double fraction = 1.0 / static_cast<double>(config.granularity);
@@ -162,51 +130,55 @@ CellResult run_cell_fast(const CellConfig& config, std::size_t begin,
     result.replications.push_back(
         core::score_sample(observed, population, fraction));
   }
-  record_cell_run(result, /*fast_path=*/true, /*legacy_scanned=*/0);
+  record_cell_run(result);
   return result;
 }
 
 }  // namespace
 
-bool cell_uses_fast_path(const CellConfig& config) {
-  return config.cache != nullptr && !core::legacy_scan_forced() &&
-         config.cache->contains(config.interval);
-}
+bool cell_uses_fast_path(const CellConfig& /*config*/) { return true; }
 
 CellResult run_cell(const CellConfig& config) {
   validate_cell(config);
   util::throw_if_stopped(config.cancel);
-  if (cell_uses_fast_path(config)) {
-    const std::size_t begin = config.cache->offset_of(config.interval);
-    return run_cell_fast(config, begin, begin + config.interval.size());
+  if (config.cache != nullptr && config.cache->contains(config.interval)) {
+    return score_cell(config, *config.cache,
+                      config.cache->offset_of(config.interval));
   }
+  // No attached cache covers the interval: bin one for this call.
+  const core::BinnedTraceCache local(config.interval);
+  return score_cell(config, local, 0);
+}
+
+CellResult run_cell_reference(const CellConfig& config) {
+  validate_cell(config);
+  util::throw_if_stopped(config.cancel);
   const auto layout = core::make_target_histogram(config.target);
   const auto population = core::bin_values(
       core::population_values(config.interval, config.target), layout);
-  return run_cell_replications(config, layout, population);
+  const double fraction = 1.0 / static_cast<double>(config.granularity);
+  CellResult result;
+  result.config = config;
+  result.replications.reserve(static_cast<std::size_t>(config.replications));
+  for (int r = 0; r < config.replications; ++r) {
+    util::throw_if_stopped(config.cancel);
+    auto sampler = core::make_sampler(replication_spec(config, r));
+    const auto sample = core::draw(config.interval, *sampler, config.cancel);
+    const auto observed =
+        core::bin_values(core::sample_values(sample, config.target), layout);
+    result.replications.push_back(
+        core::score_sample(observed, population, fraction));
+  }
+  return result;
 }
 
 std::vector<CellResult> sweep_granularity(
     CellConfig base, const std::vector<std::uint64_t>& granularities) {
   std::vector<CellResult> out;
   out.reserve(granularities.size());
-  if (granularities.empty()) return out;
-  validate_cell(base);
-  if (cell_uses_fast_path(base)) {
-    // population_histogram is O(bins) per rung — nothing worth hoisting.
-    for (std::uint64_t k : granularities) {
-      base.granularity = k;
-      out.push_back(run_cell(base));
-    }
-    return out;
-  }
-  // Legacy path: materialize and bin the population once for the ladder.
-  const auto layout = core::make_target_histogram(base.target);
-  const auto population = core::bin_values(
-      core::population_values(base.interval, base.target), layout);
   for (std::uint64_t k : granularities) {
     base.granularity = k;
-    out.push_back(run_cell_replications(base, layout, population));
+    out.push_back(run_cell(base));
   }
   return out;
 }

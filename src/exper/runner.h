@@ -31,19 +31,19 @@ struct CellConfig {
   int replications{5};
   std::uint64_t base_seed{1};
   /// Optional shared bin cache covering `interval` (usually the full
-  /// trace's, from Experiment::binned_cache()). When set — and unless
-  /// core::legacy_scan_forced() — run_cell takes the fused fast path:
-  /// index-emitting kernels plus prefix-sum histograms instead of the
-  /// streaming per-packet scan. Results are bit-identical either way
-  /// (tests/test_fastpath.cpp pins this over the full figure grid). Not
-  /// owned; must outlive the run.
+  /// trace's, from Experiment::binned_cache()). run_cell always selects
+  /// through core::select_indices over a BinnedTraceCache; when this is null
+  /// or does not contain `interval`, it bins a private cache over the
+  /// interval for that one call. Attach a shared cache whenever several
+  /// cells read the same trace. Not owned; must outlive the run.
   const core::BinnedTraceCache* cache{nullptr};
   /// Optional cancellation token / watchdog deadline. run_cell polls it at
-  /// entry, between replications, and inside the streaming per-packet loop,
-  /// unwinding with util::StatusError (kCancelled / kDeadlineExceeded).
-  /// Not owned; the parallel runner attaches a per-cell token carrying the
-  /// cell's deadline. Does not affect results, so it is excluded from cell
-  /// identity (checkpoint keys, seed derivation).
+  /// entry and between replications, unwinding with util::StatusError
+  /// (kCancelled / kDeadlineExceeded); the private cache build of an
+  /// uncached cell is not polled. Not owned; the parallel runner attaches a
+  /// per-cell token carrying the cell's deadline. Does not affect results,
+  /// so it is excluded from cell identity (checkpoint keys, seed
+  /// derivation).
   const util::CancelToken* cancel{nullptr};
 };
 
@@ -61,20 +61,27 @@ struct CellResult {
   [[nodiscard]] int rejections_at(double alpha) const;
 };
 
-/// Run one experiment cell. Population binning is computed once per call
-/// (O(bins) prefix-sum subtractions when config.cache applies, one O(n)
-/// scan otherwise). Throws std::invalid_argument for an empty interval or
-/// bad config.
+/// Run one experiment cell: each replication's index set comes from
+/// core::select_indices, its histogram from the cache's bin ids, and the
+/// population histogram from prefix-sum subtraction in O(bins). Throws
+/// std::invalid_argument for an empty interval or bad config.
 [[nodiscard]] CellResult run_cell(const CellConfig& config);
 
-/// Would run_cell take the cache fast path for this config? (It does when a
-/// cache is attached, covers the interval, and the legacy scan is not
-/// forced.) Exposed for tests and the A/B bench harness.
+/// The streaming oracle: the same cell scored by driving each replication's
+/// core::Sampler over the interval packet by packet, with the population
+/// binned by one O(n) scan. Bit-identical to run_cell (tests/test_fastpath.cpp
+/// pins this over the full figure grid); tests and the micro_sweep harness
+/// compare against it. Ignores config.cache; polls config.cancel at entry,
+/// between replications and inside the per-packet loop. Records no metrics.
+[[nodiscard]] CellResult run_cell_reference(const CellConfig& config);
+
+/// Always true since v1.2: every cell runs through the index kernels.
+[[deprecated("run_cell has a single path; removed in the next release")]]
 [[nodiscard]] bool cell_uses_fast_path(const CellConfig& config);
 
-/// Sweep granularities for a fixed method/target/interval (Figures 6-9).
-/// The population histogram is computed once for the whole ladder, not once
-/// per rung — it depends only on (interval, target).
+/// Sweep granularities for a fixed method/target/interval (Figures 6-9):
+/// run_cell once per rung. The population histogram costs O(bins) per rung,
+/// so nothing is hoisted out of the ladder.
 [[nodiscard]] std::vector<CellResult> sweep_granularity(
     CellConfig base, const std::vector<std::uint64_t>& granularities);
 

@@ -16,7 +16,8 @@
 //   Traces          trace::Trace/TraceView, flows, summaries, pcap I/O
 //   Synthesis       synth:: traffic models and presets
 //   Sampling        core:: samplers, targets, φ metrics, design helpers
-//   Experiments     exper:: Experiment, CellConfig/run_cell, sweeps,
+//   Experiments     exper:: Experiment, CellConfig/run_cell, the streaming
+//                   oracle run_cell_reference (v1.2), sweeps,
 //                   ParallelRunner, checkpoint journal
 //   Flow workload   flow:: sampled-flow tables, flow-size distributions,
 //                   inversion estimators, run_flow_cell

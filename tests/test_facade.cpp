@@ -14,8 +14,8 @@ namespace netsample {
 namespace {
 
 TEST(FacadeVersion, ConstantsAgree) {
-  // v1.1: MINOR steps by 100 per minor release, so "1.1" encodes as 1100.
-  EXPECT_EQ(NETSAMPLE_API_VERSION, 1100);
+  // v1.2: MINOR steps by 100 per minor release, so "1.2" encodes as 1200.
+  EXPECT_EQ(NETSAMPLE_API_VERSION, 1200);
   EXPECT_EQ(kApiVersionMajor, NETSAMPLE_API_VERSION_MAJOR);
   EXPECT_EQ(kApiVersionMinor, NETSAMPLE_API_VERSION_MINOR);
   EXPECT_EQ(std::string(kApiVersionString),

@@ -1,9 +1,9 @@
 // The fused sweep engine's headline guarantee: over the full fig06-fig11
-// grid, the cache fast path produces BIT-IDENTICAL CellResults to the
-// legacy streaming scan, at one thread and at N threads — plus the
-// per-replication index sets agree, the legacy-scan switch really routes,
-// and granularity sweeps bin the population exactly once (legacy) or never
-// (fast path).
+// grid, run_cell (index kernels over a BinnedTraceCache) produces
+// BIT-IDENTICAL CellResults to the streaming oracle run_cell_reference, at
+// one thread and at N threads — plus the per-replication index sets agree,
+// cells no attached cache covers bin a private one and still match, and
+// granularity sweeps never materialize the population.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,16 +14,28 @@
 #include "exper/experiment.h"
 #include "exper/parallel.h"
 #include "exper/runner.h"
+#include "obs/metrics.h"
 
 namespace netsample {
 namespace {
 
-/// Scoped legacy/fast routing: restores the environment default on exit so
-/// test order can't leak a forced path into other tests.
-struct ScanGuard {
-  explicit ScanGuard(bool legacy) { core::force_legacy_scan(legacy); }
-  ~ScanGuard() { core::clear_legacy_scan_override(); }
-};
+/// The streaming oracle through the same serial ParallelRunner as the code
+/// under test, so every task's seed matches by construction.
+std::vector<exper::CellResult> reference_run(
+    const std::vector<exper::GridTask>& tasks, std::uint64_t base_seed) {
+  exper::RunOptions opts;
+  opts.cell_runner = [](const exper::CellConfig& cfg, std::size_t) {
+    return exper::run_cell_reference(cfg);
+  };
+  exper::ParallelRunner serial(1);
+  exper::RunReport report = serial.run(tasks, base_seed, opts);
+  std::vector<exper::CellResult> out;
+  for (auto& cell : report.cells) {
+    EXPECT_TRUE(cell.status.is_ok()) << cell.status.to_string();
+    out.push_back(std::move(cell.result));
+  }
+  return out;
+}
 
 class FastPathTest : public ::testing::Test {
  protected:
@@ -122,38 +134,56 @@ class FastPathTest : public ::testing::Test {
 
 exper::Experiment* FastPathTest::ex_ = nullptr;
 
-TEST_F(FastPathTest, RoutingFollowsCacheAndSwitch) {
-  exper::CellConfig cfg;
-  cfg.interval = ex_->interval(30.0);
-  EXPECT_FALSE(exper::cell_uses_fast_path(cfg));  // no cache attached
-  cfg.cache = &ex_->binned_cache();
-  EXPECT_TRUE(exper::cell_uses_fast_path(cfg));
-  {
-    ScanGuard legacy(true);
-    EXPECT_FALSE(exper::cell_uses_fast_path(cfg));
+TEST_F(FastPathTest, UncoveredCellsBuildOneCacheAndMatchReference) {
+  if (!obs::detail::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (NETSAMPLE_OBS=OFF)";
   }
-  EXPECT_TRUE(exper::cell_uses_fast_path(cfg));
-  // A view over foreign storage cannot be served by this cache.
+  // Leaves obs disabled and zeroed, as test_obs.cpp's fixture does, so no
+  // later test in this process inherits the build count.
+  struct ObsOn {
+    ObsOn() { obs::set_enabled(true); }
+    ~ObsOn() {
+      obs::set_enabled(false);
+      obs::registry().reset();
+    }
+  } obs_on;
+  const obs::Counter& builds =
+      obs::registry().counter("netsample_trace_cache_builds_total");
+  const auto& shared = ex_->binned_cache();  // built before anything counts
   const exper::Experiment other(24, 0.5);
-  cfg.interval = other.full();
-  EXPECT_FALSE(exper::cell_uses_fast_path(cfg));
+
+  exper::CellConfig cfg;
+  cfg.method = core::Method::kStratifiedCount;
+  cfg.target = core::Target::kInterarrivalTime;
+  cfg.granularity = 16;
+  cfg.interval = ex_->interval(30.0);
+  cfg.mean_interarrival_usec = ex_->mean_interarrival_usec();
+  cfg.replications = 4;
+  cfg.base_seed = 99;
+  // Scores one cell both ways; returns how many caches run_cell built.
+  const auto builds_for = [&](const exper::CellConfig& c) {
+    const auto before = builds.value();
+    const auto cell = exper::run_cell(c);
+    const auto delta = builds.value() - before;
+    expect_bit_identical({exper::run_cell_reference(c)}, {cell});
+    return delta;
+  };
+
+  EXPECT_EQ(builds_for(cfg), 1u);  // no cache attached
+  cfg.cache = &shared;
+  EXPECT_EQ(builds_for(cfg), 0u);  // a covered view reads the shared cache
+  cfg.interval = other.full();     // a view over foreign storage
+  cfg.mean_interarrival_usec = other.mean_interarrival_usec();
+  EXPECT_EQ(builds_for(cfg), 1u);
 }
 
 TEST_F(FastPathTest, FullFigureGridBitIdenticalLegacyVsFastVsThreaded) {
   const auto tasks = figure_grid();
-  std::vector<exper::CellResult> legacy, fast1, fastN;
-  {
-    ScanGuard guard(true);
-    exper::ParallelRunner serial(1);
-    legacy = serial.run(tasks, 23);
-  }
-  {
-    ScanGuard guard(false);
-    exper::ParallelRunner serial(1);
-    exper::ParallelRunner threaded(4);
-    fast1 = serial.run(tasks, 23);
-    fastN = threaded.run(tasks, 23);
-  }
+  const auto legacy = reference_run(tasks, 23);
+  exper::ParallelRunner serial(1);
+  exper::ParallelRunner threaded(4);
+  const auto fast1 = serial.run(tasks, 23);
+  const auto fastN = threaded.run(tasks, 23);
   expect_bit_identical(legacy, fast1);
   expect_bit_identical(fast1, fastN);
 }
@@ -184,31 +214,26 @@ TEST_F(FastPathTest, ReplicationIndexSetsMatchStreamingPerMethod) {
   }
 }
 
-TEST_F(FastPathTest, SweepBinsPopulationOnceLegacyNeverFast) {
+TEST_F(FastPathTest, SweepNeverMaterializesPopulation) {
   exper::CellConfig base;
   base.method = core::Method::kStratifiedCount;
   base.target = core::Target::kInterarrivalTime;
   base.interval = ex_->interval(60.0);
   base.mean_interarrival_usec = ex_->mean_interarrival_usec();
   base.replications = 3;
-  base.cache = &ex_->binned_cache();
   const std::vector<std::uint64_t> ladder = {4, 16, 64, 256};
 
-  {
-    // Legacy: the whole ladder shares ONE population materialization.
-    ScanGuard guard(true);
+  // Prefix-sum subtraction over a cache, attached or private: the
+  // population values are never materialized.
+  for (const core::BinnedTraceCache* cache :
+       {static_cast<const core::BinnedTraceCache*>(nullptr),
+        &ex_->binned_cache()}) {
+    base.cache = cache;
     const auto before = core::population_values_call_count();
     const auto cells = exper::sweep_granularity(base, ladder);
     ASSERT_EQ(cells.size(), ladder.size());
-    EXPECT_EQ(core::population_values_call_count() - before, 1u);
-  }
-  {
-    // Fast path: prefix-sum subtraction, never materialized.
-    ScanGuard guard(false);
-    const auto before = core::population_values_call_count();
-    const auto cells = exper::sweep_granularity(base, ladder);
-    ASSERT_EQ(cells.size(), ladder.size());
-    EXPECT_EQ(core::population_values_call_count() - before, 0u);
+    EXPECT_EQ(core::population_values_call_count() - before, 0u)
+        << (cache == nullptr ? "no cache" : "shared cache");
   }
 }
 
@@ -222,19 +247,25 @@ TEST_F(FastPathTest, SweepHelpersAgreeAcrossPathsAndThreadCounts) {
   base.base_seed = 42;
   base.cache = &ex_->binned_cache();
 
+  // The reference grids, laid out exactly as the runner's sweep helpers
+  // lay theirs out (granularity rungs; interval prefixes with their index).
   const std::vector<std::uint64_t> ks = {2, 8, 128, 2048};
   const std::vector<double> secs = {15.0, 60.0, 150.0};
-  std::vector<exper::CellResult> g_legacy, i_legacy;
-  {
-    ScanGuard guard(true);
-    exper::ParallelRunner serial(1);
-    g_legacy = serial.sweep_granularity(base, ks);
-    i_legacy = serial.sweep_interval(base, ex_->full(), secs);
+  std::vector<exper::GridTask> g_tasks, i_tasks;
+  for (std::uint64_t k : ks) {
+    g_tasks.push_back({base, 0});
+    g_tasks.back().config.granularity = k;
   }
-  ScanGuard guard(false);
+  for (std::size_t i = 0; i < secs.size(); ++i) {
+    i_tasks.push_back({base, i});
+    i_tasks.back().config.interval =
+        ex_->full().prefix_duration(MicroDuration::from_seconds(secs[i]));
+  }
+
   exper::ParallelRunner threaded(3);
-  expect_bit_identical(g_legacy, threaded.sweep_granularity(base, ks));
-  expect_bit_identical(i_legacy,
+  expect_bit_identical(reference_run(g_tasks, base.base_seed),
+                       threaded.sweep_granularity(base, ks));
+  expect_bit_identical(reference_run(i_tasks, base.base_seed),
                        threaded.sweep_interval(base, ex_->full(), secs));
 }
 

@@ -32,8 +32,7 @@ namespace {
 namespace simd = core::simd;
 
 /// Scoped variant routing: restores the environment default on exit so test
-/// order can't leak a forced variant into other tests (same shape as
-/// test_fastpath.cpp's ScanGuard).
+/// order can't leak a forced variant into other tests.
 struct VariantGuard {
   explicit VariantGuard(simd::Variant v) { simd::force_variant(v); }
   ~VariantGuard() { simd::clear_variant_override(); }
@@ -423,8 +422,9 @@ TEST_P(SimdKernelsTest, SampleHistogramBitIdenticalAcrossVariants) {
 }
 
 // --------------------------------------------------------------------------
-// Full-grid phi bit-identity: scalar vs best vector variant vs legacy scan,
-// serial and threaded. The sweep-level version of the kernel contract.
+// Full-grid phi bit-identity: scalar vs best vector variant vs the
+// streaming oracle, serial and threaded. The sweep-level version of the
+// kernel contract.
 
 class SimdGridTest : public ::testing::Test {
  protected:
@@ -507,12 +507,19 @@ TEST_F(SimdGridTest, FullGridPhiBitIdenticalAcrossVariantsAndJobs) {
     expect_bit_identical(scalar1, threaded.run(tasks, 23));
   }
   {
-    // The streaming samplers stay the oracle underneath both paths.
+    // The streaming samplers stay the oracle underneath every variant: the
+    // reference runs through the same runner, so seeds match by construction.
     VariantGuard guard(simd::best_variant());
-    core::force_legacy_scan(true);
+    exper::RunOptions opts;
+    opts.cell_runner = [](const exper::CellConfig& cfg, std::size_t) {
+      return exper::run_cell_reference(cfg);
+    };
     exper::ParallelRunner serial(1);
-    expect_bit_identical(scalar1, serial.run(tasks, 23));
-    core::clear_legacy_scan_override();
+    exper::RunReport report = serial.run(tasks, 23, opts);
+    ASSERT_TRUE(report.all_ok()) << report.first_failure().to_string();
+    std::vector<exper::CellResult> reference;
+    for (auto& cell : report.cells) reference.push_back(std::move(cell.result));
+    expect_bit_identical(scalar1, reference);
   }
 }
 

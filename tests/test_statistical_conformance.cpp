@@ -35,12 +35,6 @@
 namespace netsample {
 namespace {
 
-/// Scoped legacy/fast routing (same idiom as test_fastpath.cpp).
-struct ScanGuard {
-  explicit ScanGuard(bool legacy) { core::force_legacy_scan(legacy); }
-  ~ScanGuard() { core::clear_legacy_scan_override(); }
-};
-
 class ConformanceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { ex_ = new exper::Experiment(23, 3.0); }
@@ -60,8 +54,7 @@ TEST_F(ConformanceTest, NullSamplingScoresExactlyZeroForCountMethods) {
   const core::Method methods[] = {core::Method::kSystematicCount,
                                   core::Method::kStratifiedCount,
                                   core::Method::kSimpleRandom};
-  for (const bool legacy : {false, true}) {
-    ScanGuard guard(legacy);
+  for (const auto run : {exper::run_cell, exper::run_cell_reference}) {
     for (const auto target :
          {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
       for (const auto method : methods) {
@@ -77,11 +70,11 @@ TEST_F(ConformanceTest, NullSamplingScoresExactlyZeroForCountMethods) {
             method == core::Method::kSystematicCount ? 1 : 3;
         cfg.base_seed = 77;
         cfg.cache = &ex_->binned_cache();
-        const auto cell = exper::run_cell(cfg);
+        const auto cell = run(cfg);
         for (const auto& m : cell.replications) {
           EXPECT_EQ(m.phi, 0.0)
               << core::method_name(method) << "/" << core::target_name(target)
-              << (legacy ? " legacy" : " fast");
+              << (run == exper::run_cell ? " run_cell" : " reference");
           EXPECT_EQ(m.chi2, 0.0);
           EXPECT_EQ(m.cost, 0.0);
           EXPECT_EQ(m.significance, 1.0);

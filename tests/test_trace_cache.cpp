@@ -1,13 +1,11 @@
 // Tests for the shared per-packet bin cache (core/trace_cache.h): bin ids
 // agree with Histogram::bin_index, prefix-sum population histograms agree
-// with the legacy re-binning over arbitrary sub-ranges, sub-view plumbing
-// (contains / offset_of), sampled-histogram accumulation, and the
-// legacy-scan switch.
+// with the streaming re-binning over arbitrary sub-ranges, sub-view plumbing
+// (contains / offset_of), and sampled-histogram accumulation.
 #include "core/trace_cache.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -153,18 +151,6 @@ TEST(HistogramWithCounts, BuildsAndValidates) {
   EXPECT_EQ(h.total(), 12u);
   EXPECT_THROW((void)stats::Histogram::with_counts(edges, {1, 2}),
                std::invalid_argument);
-}
-
-TEST(LegacyScanSwitch, ProgrammaticOverrideWinsAndClears) {
-  // The test binary does not set NETSAMPLE_LEGACY_SCAN, so the environment
-  // default is "fast path".
-  clear_legacy_scan_override();
-  force_legacy_scan(true);
-  EXPECT_TRUE(legacy_scan_forced());
-  force_legacy_scan(false);
-  EXPECT_FALSE(legacy_scan_forced());
-  clear_legacy_scan_override();
-  EXPECT_FALSE(legacy_scan_forced());
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ def load_report(path):
     for key in ("machine", "headline", "cells"):
         if key not in report:
             print(f"error: {path}: missing '{key}' "
-                  "(legacy-only or pre-SIMD report?)", file=sys.stderr)
+                  "(pre-SIMD report?)", file=sys.stderr)
             sys.exit(2)
     return report
 

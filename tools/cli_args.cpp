@@ -24,24 +24,24 @@ int checked_count(const std::string& source, const std::string& text,
   const long v = std::strtol(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 0 ||
       v > max_value) {
-    throw std::invalid_argument(source + ": expected a worker count in [0, " +
-                                std::to_string(max_value) +
-                                "] (0 = one per hardware thread), got \"" +
+    throw std::invalid_argument(source + ": expected an integer in [0, " +
+                                std::to_string(max_value) + "], got \"" +
                                 text + "\"");
   }
   return static_cast<int>(v);
 }
 
-double checked_seconds(const std::string& source, const std::string& text,
-                       double max_value) {
+double checked_real(const std::string& source, const std::string& text,
+                    double max_value) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
       !std::isfinite(v) || v < 0.0 || v > max_value) {
-    throw std::invalid_argument(source + ": expected seconds in [0, " +
-                                std::to_string(max_value) +
-                                "] (0 = disabled), got \"" + text + "\"");
+    char max_text[32];
+    std::snprintf(max_text, sizeof max_text, "%g", max_value);
+    throw std::invalid_argument(source + ": expected a number in [0, " +
+                                max_text + "], got \"" + text + "\"");
   }
   return v;
 }
@@ -56,8 +56,6 @@ void add_common_flags(ArgParser& args, bool with_pcap) {
   }
   args.add_flag("metrics-out", "FILE", "write obs metrics JSON here");
   args.add_flag("trace-out", "FILE", "write obs span trace JSON here");
-  args.add_flag("legacy-scan", "",
-                "force the streaming per-packet path (no cache fast path)");
   args.add_flag("simd", "VARIANT",
                 "force the SIMD kernel variant: scalar, avx2, or neon "
                 "(results are bit-identical; default autodetects)");
@@ -117,7 +115,6 @@ CommonOptions read_common_options(const ArgParser& args) {
   if (args.has("pcap")) out.pcap = args.get_string("pcap");
   if (args.has("metrics-out")) out.metrics_out = args.get_string("metrics-out");
   if (args.has("trace-out")) out.trace_out = args.get_string("trace-out");
-  out.legacy_scan = args.get_bool("legacy-scan");
   if (args.has("simd")) out.simd = args.get_string("simd");
 
   if (!out.simd.empty()) {
@@ -129,7 +126,6 @@ CommonOptions read_common_options(const ArgParser& args) {
     }
     core::simd::force_variant(*variant);
   }
-  if (out.legacy_scan) core::force_legacy_scan(true);
   if (!out.metrics_out.empty() || !out.trace_out.empty()) {
     obs::set_enabled(true);
   }
@@ -178,10 +174,6 @@ CommonOptions parse_figure_args(int argc, char** argv,
     }
     if (out.pcap.empty()) {
       if (const char* env = std::getenv("NETSAMPLE_PCAP")) out.pcap = env;
-    }
-    if (!out.legacy_scan && std::getenv("NETSAMPLE_LEGACY_SCAN") != nullptr) {
-      out.legacy_scan = true;
-      core::force_legacy_scan(true);
     }
     return out;
   } catch (const std::invalid_argument& e) {

@@ -26,7 +26,6 @@ struct CommonOptions {
   std::string pcap;           // parent capture ("" = synthetic hour)
   std::string metrics_out;    // obs metrics JSON path ("" = off)
   std::string trace_out;      // obs trace JSON path ("" = off)
-  bool legacy_scan{false};    // force the streaming oracle path
   std::string simd;           // forced SIMD variant ("" = autodetect)
 };
 
@@ -43,31 +42,32 @@ void add_common_flags(ArgParser& args, bool with_pcap = true);
 /// coordinator and worker subcommands cannot drift.
 void add_sweep_flags(ArgParser& args);
 
-/// The single parser behind every process/thread count flag (--jobs,
-/// --workers, NETSAMPLE_JOBS): accepts a base-10 integer in [0, max_value],
-/// rejects non-numeric text, trailing garbage, negatives, and overflow with
-/// one uniform message. Throws std::invalid_argument (exit 64 at the CLI).
+/// The single parser behind every integer flag and list item (--jobs,
+/// --workers, NETSAMPLE_JOBS, --grid-k, budgets): accepts a base-10 integer
+/// in [0, max_value] as the whole token, rejecting non-numeric text,
+/// trailing garbage, negatives, and overflow with one uniform message.
+/// Throws std::invalid_argument (exit 64 at the CLI).
 [[nodiscard]] int checked_count(const std::string& source,
                                 const std::string& text, int max_value);
 
-/// Parser behind the duration flags (--heartbeat-interval,
-/// --lease-timeout): a finite base-10 seconds value in [0, max_value]
-/// (0 = disabled), rejecting non-numeric text, trailing garbage, negatives,
-/// NaN/inf, and overflow. Throws std::invalid_argument (exit 64 at the CLI).
-[[nodiscard]] double checked_seconds(const std::string& source,
-                                     const std::string& text,
-                                     double max_value);
+/// The same rules for real-valued flags and list items (durations, rates,
+/// --intensity probabilities): a finite base-10 value in [0, max_value] as
+/// the whole token, rejecting non-numeric text, trailing garbage,
+/// negatives, NaN/inf, and overflow. Throws std::invalid_argument (exit 64
+/// at the CLI).
+[[nodiscard]] double checked_real(const std::string& source,
+                                  const std::string& text, double max_value);
 
 /// Read the shared flags back after a successful parse(), validating ranges
-/// (--jobs in [0, 4096]) and applying side effects: --legacy-scan forces
-/// the legacy path, --metrics-out/--trace-out enable obs collection.
+/// (--jobs in [0, 4096]) and applying side effects: --simd forces a kernel
+/// variant, --metrics-out/--trace-out enable obs collection.
 /// Throws std::invalid_argument with a user-facing message on bad values.
 [[nodiscard]] CommonOptions read_common_options(const ArgParser& args);
 
 /// One-call front end for the figure binaries: parse argv strictly (any
 /// unknown flag prints the vocabulary and exits 64), honor NETSAMPLE_JOBS /
-/// NETSAMPLE_PCAP / NETSAMPLE_LEGACY_SCAN as fallbacks, apply side effects,
-/// and hand back the options. `extra_help` names the binary in --help.
+/// NETSAMPLE_PCAP as fallbacks, apply side effects, and hand back the
+/// options. `extra_help` names the binary in --help.
 [[nodiscard]] CommonOptions parse_figure_args(int argc, char** argv,
                                               const std::string& extra_help);
 

@@ -153,6 +153,18 @@ exper::RunOptions sweep_options(const ArgParser& args,
   return opts;
 }
 
+/// The non-empty items of a comma-separated flag value ("2,,4," -> 2, 4).
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    if (comma > pos) out.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return out;
+}
+
 core::Method parse_method(const std::string& name) {
   if (name == "systematic") return core::Method::kSystematicCount;
   if (name == "stratified") return core::Method::kStratifiedCount;
@@ -325,6 +337,17 @@ int cmd_impair(ArgParser& args) {
   // In CSV mode stdout carries nothing but the header and data rows; the
   // human-facing summary moves to stderr.
   std::ostream& info = csv ? std::cerr : std::cout;
+
+  // Intensity ladder: comma-separated per-record probabilities, each
+  // checked as a whole token before the capture is read.
+  std::vector<double> intensities;
+  for (const std::string& item : split_list(args.get_string("intensity"))) {
+    intensities.push_back(tools::checked_real("--intensity", item, 1.0));
+  }
+  if (intensities.empty()) {
+    throw std::invalid_argument("--intensity needs at least one value");
+  }
+
   auto loaded = load(args.positionals().at(0), args, info);
   if (!loaded) return fail(loaded.status());
   const trace::Trace clean = std::move(*loaded);
@@ -342,25 +365,9 @@ int cmd_impair(ArgParser& args) {
     faults.push_back(*parsed);
   }
 
-  // Intensity ladder: comma-separated per-record probabilities.
-  std::vector<double> intensities;
-  {
-    std::string list = args.get_string("intensity");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const std::size_t comma = std::min(list.find(',', pos), list.size());
-      const std::string item = list.substr(pos, comma - pos);
-      if (!item.empty()) intensities.push_back(std::stod(item));
-      pos = comma + 1;
-    }
-    if (intensities.empty()) {
-      throw std::invalid_argument("--intensity needs at least one value");
-    }
-  }
-
   // Scoring harness: mean phi of `reps` replications against the packet-size
-  // target. Impaired traces differ per (fault, intensity), so each gets its
-  // own streaming-path cell (no shared bin cache to build and discard).
+  // target. Impaired traces differ per (fault, intensity), so no shared bin
+  // cache covers them: run_cell bins a private one for each trace's cell.
   const auto score_phi = [&](const trace::Trace& t) {
     exper::CellConfig cfg;
     cfg.method = method;
@@ -514,31 +521,24 @@ int cmd_watch(ArgParser& args) {
 volatile std::sig_atomic_t g_serve_stop = 0;
 void serve_stop_handler(int) { g_serve_stop = 1; }
 
-/// Installs the drain-on-signal handlers for the lifetime of a serve run.
-/// No SA_RESTART: poll() must wake with EINTR so the flag is seen promptly.
-/// SIGPIPE is ignored for the whole process — a client that disconnects
-/// mid-write must surface as EPIPE on that transport, not kill the daemon.
-class ServeSignalGuard {
- public:
-  ServeSignalGuard() {
-    g_serve_stop = 0;
-    struct sigaction sa{};
-    sa.sa_handler = serve_stop_handler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ::sigaction(SIGTERM, &sa, &old_term_);
-    ::sigaction(SIGINT, &sa, &old_int_);
-    std::signal(SIGPIPE, SIG_IGN);
-  }
-  ~ServeSignalGuard() {
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    ::sigaction(SIGINT, &old_int_, nullptr);
-  }
-
- private:
-  struct sigaction old_term_{};
-  struct sigaction old_int_{};
-};
+/// Installs the drain-on-signal handlers for the rest of the process, before
+/// the daemon binds, and never restores the default action: a SIGTERM sent
+/// the moment the `listening` banner appears, or repeated while the drain,
+/// the Server destructor and the metrics write finish, only raises the flag,
+/// so the process still exits 0. No SA_RESTART: poll() must wake with EINTR
+/// so the flag is seen promptly. SIGPIPE is ignored for the whole process —
+/// a client that disconnects mid-write must surface as EPIPE on that
+/// transport, not kill the daemon.
+void install_serve_signal_handlers() {
+  g_serve_stop = 0;
+  struct sigaction sa{};
+  sa.sa_handler = serve_stop_handler;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;
+  ::sigaction(SIGTERM, &sa, nullptr);
+  ::sigaction(SIGINT, &sa, nullptr);
+  std::signal(SIGPIPE, SIG_IGN);
+}
 
 /// `netsample serve` — the multi-tenant streaming scoring daemon
 /// (docs/SERVING.md): sessions arrive over TCP as OPEN lines carrying an
@@ -560,14 +560,13 @@ int cmd_serve(ArgParser& args) {
       tools::checked_count("--max-ring-bytes",
                            args.get_string("max-ring-bytes"), 2000000000));
   sopts.default_budget.max_pps =
-      tools::checked_seconds("--max-pps", args.get_string("max-pps"), 1e12);
+      tools::checked_real("--max-pps", args.get_string("max-pps"), 1e12);
   sopts.stop_check = [] { return g_serve_stop != 0; };
 
+  install_serve_signal_handlers();
   serve::Server server(std::move(sopts));
   server.start();  // StatusError on a bad/busy bind (exit 64)
   std::cout << "listening " << server.address() << "\n" << std::flush;
-
-  ServeSignalGuard signals;
   server.run();
 
   const serve::ServeStats s = server.stats();
@@ -616,7 +615,7 @@ int cmd_loadgen(ArgParser& args) {
         "be >= 1");
   }
   lopts.p99_ms =
-      tools::checked_seconds("--p99-ms", args.get_string("p99-ms"), 1e9);
+      tools::checked_real("--p99-ms", args.get_string("p99-ms"), 1e9);
   if (args.has("dump-rows")) lopts.dump_rows_path = args.get_string("dump-rows");
   lopts.close_sessions = !args.get_bool("no-close");
   lopts.spec = session_spec_from_args(args);
@@ -749,18 +748,15 @@ int cmd_stats(ArgParser& args) {
   return 0;
 }
 
-/// Comma-separated u64 list ("2,4,8"); throws on empties and zeros.
+/// --grid-k's comma-separated granularities ("2,4,8"): each item a whole
+/// base-10 integer in [1, INT_MAX]; throws on anything else or an empty list.
 std::vector<std::uint64_t> parse_k_list(const std::string& list) {
   std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = std::min(list.find(',', pos), list.size());
-    const std::string item = list.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const auto v = std::stoull(item);
-    if (v == 0) throw std::invalid_argument("--grid-k: k must be >= 1");
-    out.push_back(v);
+  for (const std::string& item : split_list(list)) {
+    const int k = tools::checked_count("--grid-k", item,
+                                       std::numeric_limits<int>::max());
+    if (k == 0) throw std::invalid_argument("--grid-k: k must be >= 1");
+    out.push_back(static_cast<std::uint64_t>(k));
   }
   if (out.empty()) {
     throw std::invalid_argument("--grid-k needs at least one granularity");
@@ -774,12 +770,8 @@ void apply_methods_flag(const ArgParser& args, shard::SweepSpec* spec) {
   const std::string methods = args.get_string("methods");
   if (methods == "all") return;
   spec->methods.clear();
-  std::size_t pos = 0;
-  while (pos <= methods.size()) {
-    const std::size_t comma = std::min(methods.find(',', pos), methods.size());
-    const std::string item = methods.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (!item.empty()) spec->methods.push_back(shard::parse_method_token(item));
+  for (const std::string& item : split_list(methods)) {
+    spec->methods.push_back(shard::parse_method_token(item));
   }
   if (spec->methods.empty()) {
     throw std::invalid_argument("--methods needs at least one method");
@@ -819,16 +811,8 @@ shard::SweepSpec flow_spec_from_args(const ArgParser& args) {
   const std::string ks = args.get_string("grid-k");
   spec.granularities = ks == "ladder" ? flow::flow_ladder() : parse_k_list(ks);
 
-  const std::string estimators = args.get_string("estimators");
-  std::size_t pos = 0;
-  while (pos <= estimators.size()) {
-    const std::size_t comma =
-        std::min(estimators.find(',', pos), estimators.size());
-    const std::string item = estimators.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (!item.empty()) {
-      spec.estimators.push_back(flow::parse_estimator_token(item));
-    }
+  for (const std::string& item : split_list(args.get_string("estimators"))) {
+    spec.estimators.push_back(flow::parse_estimator_token(item));
   }
   if (spec.estimators.empty()) {
     throw std::invalid_argument("--estimators needs at least one of rescale|em");
@@ -889,9 +873,9 @@ ShardFlags shard_flags_from_args(const ArgParser& args) {
       "--max-respawns", args.get_string("max-respawns"), 1000000000);
   f.depart = tools::checked_count(
       "--depart-after", args.get_string("depart-after"), 1000000000);
-  f.heartbeat = tools::checked_seconds(
+  f.heartbeat = tools::checked_real(
       "--heartbeat-interval", args.get_string("heartbeat-interval"), 3600.0);
-  f.lease_timeout = tools::checked_seconds(
+  f.lease_timeout = tools::checked_real(
       "--lease-timeout", args.get_string("lease-timeout"), 3600.0);
   f.connect_retries = tools::checked_count(
       "--connect-retries", args.get_string("connect-retries"), 1000);
@@ -1006,12 +990,11 @@ exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
 int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
               const char* argv0) {
   const ShardFlags flags = shard_flags_from_args(args);
+  const shard::SweepSpec spec = sweep_spec_from_args(args);
 
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
-
-  const shard::SweepSpec spec = sweep_spec_from_args(args);
 
   exper::CheckpointJournal journal;
   bool have_journal = false;
@@ -1071,6 +1054,7 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
               const char* argv0) {
   if (!args.get_bool("sweep")) return flow_top_talkers(args);
   const ShardFlags flags = shard_flags_from_args(args);
+  const shard::SweepSpec spec = flow_spec_from_args(args);
 
   exper::CheckpointJournal journal;
   bool have_journal = false;
@@ -1093,7 +1077,6 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
 
-  const shard::SweepSpec spec = flow_spec_from_args(args);
   const auto grid = shard::build_grid(spec, ex.full(),
                                       ex.mean_interarrival_usec(),
                                       &ex.binned_cache());
@@ -1293,7 +1276,7 @@ int main(int argc, char** argv) {
   args.add_flag("masked", "",
                 "stats: print the deterministic-only JSON instead of the "
                 "human table");
-  // --jobs / --metrics-out / --trace-out / --legacy-scan come from the
+  // --jobs / --metrics-out / --trace-out / --simd come from the
   // shared vocabulary (tools/cli_args.h) so the CLI and the figure binaries
   // cannot drift; the capture stays positional here, hence no --pcap.
   tools::add_common_flags(args, /*with_pcap=*/false);
