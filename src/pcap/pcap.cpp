@@ -1,65 +1,23 @@
 #include "pcap/pcap.h"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 
 #include "net/headers.h"
 #include "obs/metrics.h"
+#include "pcap/framer.h"
 #include "util/byteorder.h"
 
 namespace netsample::pcap {
 
 namespace {
 
-constexpr std::size_t kGlobalHeaderSize = 24;
-constexpr std::size_t kRecordHeaderSize = 16;
-constexpr std::size_t kEthernetHeaderSize = 14;
-constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
-
-std::uint32_t read_u32(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be32(p) : load_le32(p);
-}
-
-std::uint16_t read_u16(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be16(p) : load_le16(p);
-}
-
-}  // namespace
-
-namespace {
-
-// A record whose claimed capture length is this far past the snaplen is
-// framing garbage (bit flip or desync), not a generous writer.
-constexpr std::uint32_t kInclLenSlack = 4096;
-
-// Salvage resync: clock jumps this large between adjacent records mark a
-// candidate header as implausible. Generous on purpose — the goal is to
-// reject random garbage, not to police real monitor clocks (decode sorts
-// small reorderings anyway).
-constexpr std::uint32_t kMaxResyncClockJumpSec = 86400;
-
-// Does `off` look like the start of an intact record header? Used only while
-// resyncing after corruption, where a false positive costs one garbage
-// record and a false negative costs a little more skipped data.
-bool plausible_record_at(std::span<const std::uint8_t> bytes, std::size_t off,
-                         bool swapped, std::uint32_t snaplen,
-                         std::uint32_t prev_ts_sec) {
-  if (off + kRecordHeaderSize > bytes.size()) return false;
-  const std::uint32_t ts_sec = read_u32(bytes.data() + off, swapped);
-  const std::uint32_t ts_usec = read_u32(bytes.data() + off + 4, swapped);
-  const std::uint32_t incl_len = read_u32(bytes.data() + off + 8, swapped);
-  if (incl_len > snaplen + kInclLenSlack) return false;
-  if (off + kRecordHeaderSize + incl_len > bytes.size()) return false;
-  if (ts_usec >= 1000000) return false;
-  if (ts_sec < prev_ts_sec) return false;
-  if (ts_sec - prev_ts_sec > kMaxResyncClockJumpSec) return false;
-  return true;
-}
+using detail::kGlobalHeaderSize;
+using detail::kRecordHeaderSize;
 
 // Ingest counters are pure functions of the capture bytes, so they belong
-// to the deterministic metrics section. Published once per parse()/decode()
-// via scope guards (both functions have several exit paths).
+// to the deterministic metrics section. Every read publishes its parse
+// counters once, on every exit path, and every decode its decode counters.
 void publish_parse_stats(const ParseStats& s) {
   if (!obs::enabled()) return;
   auto& reg = obs::registry();
@@ -92,101 +50,74 @@ void publish_decode_stats(const DecodeStats& s) {
   out_of_order.add(s.out_of_order);
 }
 
-struct ParseStatsPublisher {
-  const ParseStats& s;
-  ~ParseStatsPublisher() { publish_parse_stats(s); }
-};
-struct DecodeStatsPublisher {
-  const DecodeStats& s;
-  ~DecodeStatsPublisher() { publish_decode_stats(s); }
-};
+void report(const ParseStats& s, ParseStats* out) {
+  publish_parse_stats(s);
+  if (out != nullptr) *out = s;
+}
+
+CaptureFile empty_capture(const detail::CaptureHeader& header) {
+  CaptureFile file;
+  file.link_type = header.link_type;
+  file.snaplen = header.snaplen;
+  file.byte_swapped = header.swapped;
+  return file;
+}
+
+// Sort the decoded records into time order if needed (some capture stacks
+// emit small reorderings), then publish and hand out the decode counters.
+trace::Trace finish_decode(std::vector<trace::PacketRecord> records,
+                           DecodeStats& s, DecodeStats* out) {
+  const auto by_time = [](const trace::PacketRecord& a,
+                          const trace::PacketRecord& b) {
+    return a.timestamp < b.timestamp;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_time)) {
+    std::stable_sort(records.begin(), records.end(), by_time);
+    ++s.out_of_order;
+  }
+  publish_decode_stats(s);
+  if (out != nullptr) *out = s;
+  return trace::Trace(std::move(records));
+}
+
+// Capacity for a full decoded trace: project the final record count from
+// the bytes framed so far, so a regular file is decoded into about the
+// right size after a few small growths instead of doubling into a copy of
+// the whole trace. The file size is a hint (pipes have none, a file may
+// still be growing): a short projection just grows again, and a step is
+// capped at 8x so a capture whose early records are unusually small
+// cannot reserve many times the trace it holds.
+std::size_t next_capacity(std::size_t have,
+                          const detail::CaptureReader& reader) {
+  constexpr std::size_t kFirst = 4096;
+  const std::size_t grown = have + have / 2 + kFirst;
+  const std::uint64_t framed = reader.offset();
+  if (have < kFirst || reader.size_hint() <= framed) return grown;
+  const double projected = static_cast<double>(have) *
+                           static_cast<double>(reader.size_hint()) /
+                           static_cast<double>(framed);
+  return std::clamp(static_cast<std::size_t>(projected * 1.02), grown,
+                    8 * have);
+}
 
 }  // namespace
 
 StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes,
                             const ParseOptions& options, ParseStats* stats) {
-  ParseStats local;
-  ParseStatsPublisher publisher{local};
-  if (bytes.size() < kGlobalHeaderSize) {
-    if (stats != nullptr) *stats = local;
-    return Status(StatusCode::kDataLoss,
-                  "pcap: file shorter than global header (" +
-                      std::to_string(bytes.size()) + " bytes)");
+  auto header = detail::parse_global_header(bytes);
+  if (!header) {
+    report(ParseStats{}, stats);
+    return header.status();
   }
-  // The magic is stored in the writer's host order; reading it little-endian
-  // and seeing the swapped constant means the writer was big-endian.
-  const std::uint32_t magic_le = load_le32(bytes.data());
-  bool swapped;
-  if (magic_le == kMagicNative) {
-    swapped = false;
-  } else if (magic_le == kMagicSwapped) {
-    swapped = true;
-  } else {
-    if (stats != nullptr) *stats = local;
-    return Status(StatusCode::kInvalidArgument,
-                  "pcap: bad magic (not a classic pcap file)");
+  CaptureFile file = empty_capture(*header);
+  detail::RecordFramer framer(*header, options.on_corrupt);
+  detail::RecordView rec;
+  while (framer.next(bytes, /*eof=*/true, rec) ==
+         detail::RecordFramer::Step::kRecord) {
+    file.records.push_back(detail::copy_record(rec));
   }
-
-  CaptureFile file;
-  file.byte_swapped = swapped;
-  const std::uint16_t major = read_u16(bytes.data() + 4, swapped);
-  if (major != kVersionMajor) {
-    if (stats != nullptr) *stats = local;
-    return Status(StatusCode::kUnimplemented,
-                  "pcap: unsupported version " + std::to_string(major));
-  }
-  file.snaplen = read_u32(bytes.data() + 16, swapped);
-  file.link_type = read_u32(bytes.data() + 20, swapped);
-
-  std::uint32_t prev_ts_sec = 0;
-  std::size_t off = kGlobalHeaderSize;
-  while (off + kRecordHeaderSize <= bytes.size()) {
-    const std::uint32_t ts_sec = read_u32(bytes.data() + off, swapped);
-    const std::uint32_t ts_usec = read_u32(bytes.data() + off + 4, swapped);
-    const std::uint32_t incl_len = read_u32(bytes.data() + off + 8, swapped);
-    const std::uint32_t orig_len = read_u32(bytes.data() + off + 12, swapped);
-    if (incl_len > file.snaplen + kInclLenSlack) {
-      // Framing garbage: a record header no writer would produce.
-      ++local.corrupt_records;
-      if (options.on_corrupt == OnCorrupt::kFail) {
-        if (stats != nullptr) *stats = local;
-        return Status(StatusCode::kDataLoss,
-                      "pcap: corrupt record header at byte " +
-                          std::to_string(off) + " (incl_len " +
-                          std::to_string(incl_len) + " > snaplen " +
-                          std::to_string(file.snaplen) + ")");
-      }
-      if (options.on_corrupt == OnCorrupt::kTruncate) break;
-      // Salvage: slide forward one byte at a time until the stream looks
-      // like a record header again, then resume normal framing there.
-      std::size_t next = off + 1;
-      while (next + kRecordHeaderSize <= bytes.size() &&
-             !plausible_record_at(bytes, next, swapped, file.snaplen,
-                                  prev_ts_sec)) {
-        ++next;
-      }
-      local.skipped_bytes += next - off;
-      off = next;
-      if (off + kRecordHeaderSize > bytes.size()) break;
-      continue;
-    }
-    if (off + kRecordHeaderSize + incl_len > bytes.size()) {
-      // Torn trailing record: keep the complete prefix.
-      local.torn_tail_bytes = bytes.size() - off;
-      break;
-    }
-    off += kRecordHeaderSize;
-    RawPacket rec;
-    rec.timestamp = MicroTime::from_sec_usec(ts_sec, ts_usec);
-    rec.orig_len = orig_len;
-    rec.data.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                    bytes.begin() + static_cast<std::ptrdiff_t>(off + incl_len));
-    file.records.push_back(std::move(rec));
-    ++local.records;
-    prev_ts_sec = ts_sec;
-    off += incl_len;
-  }
-  if (stats != nullptr) *stats = local;
+  report(framer.stats(), stats);
+  if (!framer.status().is_ok()) return framer.status();
   return file;
 }
 
@@ -197,13 +128,13 @@ StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes) {
 StatusOr<CaptureFile> read_file(const std::string& path,
                                 const ParseOptions& options,
                                 ParseStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status(StatusCode::kNotFound, "pcap: cannot open '" + path + "'");
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return parse(bytes, options, stats);
+  detail::CaptureReader reader(path, options.on_corrupt);
+  CaptureFile file = empty_capture(reader.header());
+  detail::RecordView rec;
+  while (reader.next(rec)) file.records.push_back(detail::copy_record(rec));
+  report(reader.stats(), stats);
+  if (!reader.status().is_ok()) return reader.status();
+  return file;
 }
 
 StatusOr<CaptureFile> read_file(const std::string& path) {
@@ -262,85 +193,20 @@ Status write_file(const std::string& path, const CaptureFile& file) {
 std::optional<trace::PacketRecord> decode_record(const RawPacket& raw,
                                                  std::uint32_t link_type,
                                                  DecodeStats* stats) {
-  DecodeStats scratch;
-  DecodeStats& s = stats != nullptr ? *stats : scratch;
-
-  std::span<const std::uint8_t> ip_bytes(raw.data);
-  if (link_type == kLinkTypeEthernet) {
-    if (ip_bytes.size() < kEthernetHeaderSize) {
-      ++s.malformed;
-      return std::nullopt;
-    }
-    const std::uint16_t ether_type = load_be16(ip_bytes.data() + 12);
-    if (ether_type != kEtherTypeIpv4) {
-      ++s.non_ipv4;
-      return std::nullopt;
-    }
-    ip_bytes = ip_bytes.subspan(kEthernetHeaderSize);
-  }
-
-  auto ip = net::parse_ipv4(ip_bytes);
-  if (!ip) {
-    if (ip.status().code() == StatusCode::kInvalidArgument) {
-      ++s.non_ipv4;
-    } else {
-      ++s.malformed;
-    }
-    return std::nullopt;
-  }
-
-  trace::PacketRecord rec;
-  rec.timestamp = raw.timestamp;
-  rec.size = ip->total_length;
-  rec.protocol = ip->protocol;
-  rec.src = ip->src;
-  rec.dst = ip->dst;
-
-  const auto payload = ip_bytes.subspan(
-      std::min(ip->header_bytes(), ip_bytes.size()));
-  // Only unfragmented first fragments carry a transport header.
-  if (ip->fragment_offset == 0) {
-    if (ip->protocol == 6) {
-      if (auto tcp = net::parse_tcp(payload)) {
-        rec.src_port = tcp->src_port;
-        rec.dst_port = tcp->dst_port;
-        rec.tcp_flags = tcp->flags;
-      }
-    } else if (ip->protocol == 17) {
-      if (auto udp = net::parse_udp(payload)) {
-        rec.src_port = udp->src_port;
-        rec.dst_port = udp->dst_port;
-      }
-    }
-  }
-  ++s.decoded;
-  return rec;
+  return detail::decode_record({raw.timestamp, raw.orig_len, raw.data},
+                               link_type, stats);
 }
 
 trace::Trace decode(const CaptureFile& file, DecodeStats* stats) {
   DecodeStats local;
-  DecodeStatsPublisher publisher{local};
   std::vector<trace::PacketRecord> records;
   records.reserve(file.records.size());
-
   for (const auto& raw : file.records) {
     if (auto rec = decode_record(raw, file.link_type, &local)) {
       records.push_back(*rec);
     }
   }
-
-  if (!std::is_sorted(records.begin(), records.end(),
-                      [](const trace::PacketRecord& a, const trace::PacketRecord& b) {
-                        return a.timestamp < b.timestamp;
-                      })) {
-    std::stable_sort(records.begin(), records.end(),
-                     [](const trace::PacketRecord& a, const trace::PacketRecord& b) {
-                       return a.timestamp < b.timestamp;
-                     });
-    ++local.out_of_order;
-  }
-  if (stats != nullptr) *stats = local;
-  return trace::Trace(std::move(records));
+  return finish_decode(std::move(records), local, stats);
 }
 
 CaptureFile encode(const trace::Trace& t, std::uint32_t snaplen) {
@@ -391,18 +257,31 @@ CaptureFile encode(const trace::Trace& t, std::uint32_t snaplen) {
 }
 
 StatusOr<trace::Trace> read_trace(const std::string& path, DecodeStats* stats) {
-  auto file = read_file(path);
-  if (!file) return file.status();
-  return decode(*file, stats);
+  return read_trace(path, ParseOptions{}, nullptr, stats);
 }
 
+// Each record is decoded where it lies in the read window: no slurp of the
+// file, no RawPacket per record.
 StatusOr<trace::Trace> read_trace(const std::string& path,
                                   const ParseOptions& options,
                                   ParseStats* parse_stats,
                                   DecodeStats* decode_stats) {
-  auto file = read_file(path, options, parse_stats);
-  if (!file) return file.status();
-  return decode(*file, decode_stats);
+  detail::CaptureReader reader(path, options.on_corrupt);
+  const std::uint32_t link_type = reader.header().link_type;
+  std::vector<trace::PacketRecord> records;
+  DecodeStats decoded;
+  detail::RecordView raw;
+  while (reader.next(raw)) {
+    if (records.size() == records.capacity()) {
+      records.reserve(next_capacity(records.size(), reader));
+    }
+    if (auto rec = detail::decode_record(raw, link_type, &decoded)) {
+      records.push_back(*rec);
+    }
+  }
+  report(reader.stats(), parse_stats);
+  if (!reader.status().is_ok()) return reader.status();
+  return finish_decode(std::move(records), decoded, decode_stats);
 }
 
 Status write_trace(const std::string& path, const trace::Trace& t,

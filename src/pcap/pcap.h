@@ -75,15 +75,20 @@ struct ParseStats {
   }
 };
 
-/// Read a capture file from disk. Truncated trailing records are dropped
-/// with a DataLoss status only if *no* records could be read; otherwise the
-/// complete prefix is returned (tools must survive torn captures).
+/// Read a capture file from disk: exactly parse() of the file's bytes,
+/// framed through a fixed-size read() window instead of a copy of the file.
+/// A torn trailing record is dropped and counted (torn_tail_bytes) and the
+/// complete prefix returned, so a file holding only a global header is an
+/// empty capture, not an error (tools must survive torn captures). A path
+/// that cannot be opened or read is kNotFound naming the path and the errno
+/// text; a read() error mid-file is that status, never a shorter capture.
 [[nodiscard]] StatusOr<CaptureFile> read_file(const std::string& path);
 [[nodiscard]] StatusOr<CaptureFile> read_file(const std::string& path,
                                               const ParseOptions& options,
                                               ParseStats* stats = nullptr);
 
-/// Parse a capture file from an in-memory buffer (same semantics).
+/// Parse a capture file from an in-memory buffer (same semantics). The
+/// record-header bound is snaplen + 4096, computed in 64 bits.
 [[nodiscard]] StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes);
 [[nodiscard]] StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes,
                                           const ParseOptions& options,
@@ -105,9 +110,10 @@ struct DecodeStats {
 /// link-type framing rules as decode(): Ethernet headers are stripped (and
 /// non-IPv4 ether types rejected) when `link_type` is kLinkTypeEthernet.
 /// Returns std::nullopt for non-IPv4 or malformed records, bumping the
-/// matching DecodeStats counter when `stats` is given. This is the single
-/// decode truth shared by the whole-file path and the streaming sources
-/// (stream::PcapSource), so the two cannot diverge.
+/// matching DecodeStats counter when `stats` is given. This forwards to the
+/// single decode truth that read_trace() runs on records in its read
+/// window, so decode(), read_trace() and the streaming sources
+/// (stream::PcapSource) cannot diverge.
 [[nodiscard]] std::optional<trace::PacketRecord> decode_record(
     const RawPacket& raw, std::uint32_t link_type, DecodeStats* stats = nullptr);
 
@@ -125,13 +131,19 @@ struct DecodeStats {
 [[nodiscard]] CaptureFile encode(const trace::Trace& t,
                                  std::uint32_t snaplen = 65535);
 
-/// Convenience wrappers.
+/// Read and decode a capture file: the same Trace, ParseStats, DecodeStats
+/// and status as decode(parse(bytes)) of the file, with each record decoded
+/// where it lies in the read window. Memory is the window plus the decoded
+/// trace; the file size is only a capacity hint, so pipes and FIFOs work.
+/// `decode_stats` is written only on success, as decode() never runs on a
+/// refused capture.
 [[nodiscard]] StatusOr<trace::Trace> read_trace(const std::string& path,
                                                 DecodeStats* stats = nullptr);
 [[nodiscard]] StatusOr<trace::Trace> read_trace(const std::string& path,
                                                 const ParseOptions& options,
                                                 ParseStats* parse_stats = nullptr,
                                                 DecodeStats* decode_stats = nullptr);
+/// Encode a Trace and write it to disk.
 [[nodiscard]] Status write_trace(const std::string& path, const trace::Trace& t,
                                  std::uint32_t snaplen = 65535);
 

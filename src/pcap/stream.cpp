@@ -3,74 +3,33 @@
 #include <algorithm>
 #include <array>
 
-#include "net/headers.h"
+#include "pcap/framer.h"
 #include "util/byteorder.h"
 
 namespace netsample::pcap {
 
-namespace {
-
-std::uint32_t read_u32(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be32(p) : load_le32(p);
-}
-std::uint16_t read_u16(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be16(p) : load_le16(p);
-}
-
-}  // namespace
-
 StreamReader::StreamReader(const std::string& path)
-    : in_(path, std::ios::binary) {
-  if (!in_) {
-    status_ = Status(StatusCode::kNotFound, "pcap: cannot open '" + path + "'");
-    return;
-  }
-  std::array<std::uint8_t, 24> header{};
-  if (!in_.read(reinterpret_cast<char*>(header.data()), header.size())) {
-    status_ = Status(StatusCode::kDataLoss, "pcap: short global header");
-    return;
-  }
-  const std::uint32_t magic_le = load_le32(header.data());
-  if (magic_le == kMagicNative) {
-    swapped_ = false;
-  } else if (magic_le == kMagicSwapped) {
-    swapped_ = true;
-  } else {
-    status_ = Status(StatusCode::kInvalidArgument, "pcap: bad magic");
-    return;
-  }
-  const std::uint16_t major = read_u16(header.data() + 4, swapped_);
-  if (major != kVersionMajor) {
-    status_ = Status(StatusCode::kUnimplemented,
-                     "pcap: unsupported version " + std::to_string(major));
-    return;
-  }
-  snaplen_ = read_u32(header.data() + 16, swapped_);
-  link_type_ = read_u32(header.data() + 20, swapped_);
+    : reader_(std::make_unique<detail::CaptureReader>(path,
+                                                      OnCorrupt::kTruncate)) {}
+
+StreamReader::~StreamReader() = default;
+StreamReader::StreamReader(StreamReader&&) noexcept = default;
+StreamReader& StreamReader::operator=(StreamReader&&) noexcept = default;
+
+const Status& StreamReader::status() const { return reader_->status(); }
+std::uint32_t StreamReader::link_type() const {
+  return reader_->header().link_type;
 }
+std::uint32_t StreamReader::snaplen() const {
+  return reader_->header().snaplen;
+}
+bool StreamReader::byte_swapped() const { return reader_->header().swapped; }
 
 std::optional<RawPacket> StreamReader::next() {
-  if (!ok()) return std::nullopt;
-  std::array<std::uint8_t, 16> rec{};
-  if (!in_.read(reinterpret_cast<char*>(rec.data()), rec.size())) {
-    return std::nullopt;  // clean EOF or torn header: stop
-  }
-  const std::uint32_t ts_sec = read_u32(rec.data(), swapped_);
-  const std::uint32_t ts_usec = read_u32(rec.data() + 4, swapped_);
-  const std::uint32_t incl_len = read_u32(rec.data() + 8, swapped_);
-  const std::uint32_t orig_len = read_u32(rec.data() + 12, swapped_);
-  if (incl_len > snaplen_ + 4096) {
-    return std::nullopt;  // implausible length: treat as torn
-  }
-  RawPacket out;
-  out.timestamp = MicroTime::from_sec_usec(ts_sec, ts_usec);
-  out.orig_len = orig_len;
-  out.data.resize(incl_len);
-  if (!in_.read(reinterpret_cast<char*>(out.data.data()), incl_len)) {
-    return std::nullopt;  // torn body
-  }
+  detail::RecordView rec;
+  if (!reader_->next(rec)) return std::nullopt;
   ++records_read_;
-  return out;
+  return detail::copy_record(rec);
 }
 
 StreamWriter::StreamWriter(const std::string& path, std::uint32_t link_type,
