@@ -8,11 +8,21 @@
 // (core/select_indices.h) on the same trace and granularities as the
 // streaming BM_* group above them; items/sec is offered packets in both, so
 // the ratio of matching rows is the fast-path speedup per discipline.
+//
+// BM_StreamEngine runs stream::Engine in the shape of one serve session:
+// 10 lanes (5 replications x both targets) at k = 50, a 30 s window with a
+// 10 s stride, fed in 64- or 512-packet chunks, snapshot scoring included.
+// Items/sec is packets fed.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/samplers.h"
 #include "core/select_indices.h"
 #include "core/trace_cache.h"
+#include "exper/runner.h"
+#include "stream/engine.h"
 #include "synth/presets.h"
 
 namespace {
@@ -131,6 +141,51 @@ void BM_KernelStratifiedTimer(benchmark::State& state) {
                                 static_cast<std::uint64_t>(state.range(0))));
 }
 BENCHMARK(BM_KernelStratifiedTimer)->Arg(50)->Arg(1024);
+
+void BM_StreamEngine(benchmark::State& state) {
+  constexpr core::Method kMethods[] = {
+      core::Method::kSystematicCount, core::Method::kStratifiedCount,
+      core::Method::kSimpleRandom, core::Method::kSystematicTimer,
+      core::Method::kStratifiedTimer};
+  const core::Method method = kMethods[state.range(0)];
+  const auto chunk = static_cast<std::size_t>(state.range(1));
+  const auto packets = bench_trace().view().packets();
+  exper::CellConfig cfg;
+  cfg.method = method;
+  cfg.granularity = 50;
+  cfg.interval = bench_trace().view();
+  cfg.mean_interarrival_usec = 2358.0;
+  cfg.replications = 5;
+  cfg.base_seed = 7;
+  std::vector<stream::LaneSpec> lanes;
+  for (const auto target :
+       {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
+    cfg.target = target;
+    for (auto& lane : stream::lanes_for_cell(cfg)) lanes.push_back(lane);
+  }
+  stream::EngineOptions options;
+  options.window = MicroDuration::from_seconds(30.0);
+  options.stride = MicroDuration::from_seconds(10.0);
+  std::size_t scored = 0;
+  for (auto _ : state) {
+    stream::Engine engine(lanes, options);
+    engine.on_snapshot(
+        [&](const stream::WindowScore& ws) { scored += ws.lanes.size(); });
+    for (std::size_t i = 0; i < packets.size(); i += chunk) {
+      engine.feed(packets.subspan(i, std::min(chunk, packets.size() - i)));
+    }
+    scored += engine.finish().lanes.size();
+    benchmark::DoNotOptimize(scored);
+  }
+  state.SetLabel(core::method_name(method));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packets.size()));
+}
+BENCHMARK(BM_StreamEngine)->Apply([](benchmark::internal::Benchmark* b) {
+  for (int m = 0; m < 5; ++m) {
+    for (const int chunk : {64, 512}) b->Args({m, chunk});
+  }
+});
 
 void BM_CacheConstruction(benchmark::State& state) {
   const auto view = bench_trace().view();

@@ -6,132 +6,166 @@
 #include "core/simd/simd.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/rng.h"
 
 namespace netsample::core {
 
-namespace {
+// Every cursor replays the corresponding streaming sampler's sequence of
+// uniform_below() calls (same bounds, same order), so the emitted index
+// sets are bit-identical to driving the Sampler with draw_sample_indices().
+// A draw may happen at a different moment than in the streaming pass (the
+// stratified cursors draw a bucket's winner when the previous one is
+// emitted, not when the bucket opens), which no output can observe.
 
-// Every kernel below replays the corresponding streaming sampler's sequence
-// of uniform_below() calls (same bounds, same order) over the range
-// [begin, end) of the cache, so the emitted index sets are bit-identical to
-// driving the Sampler with draw_sample_indices(). Divergences that cannot
-// affect the output — e.g. trailing RNG draws a streaming pass makes after
-// the last packet — are noted inline.
-
-std::vector<std::size_t> systematic_count(const SamplerSpec& spec,
-                                          std::size_t n) {
-  // Mirrors the SystematicCountSampler constructor checks.
-  if (spec.offset >= spec.granularity) {
-    throw std::invalid_argument("systematic: offset must be < k");
+SelectCursor::SelectCursor(const SamplerSpec& spec)
+    : method_(spec.method), k_(spec.granularity), seed_(spec.seed) {
+  // Mirrors make_sampler and the Sampler constructors' checks.
+  if (spec.granularity == 0) {
+    throw std::invalid_argument("sampler spec: granularity must be >= 1");
   }
-  std::vector<std::size_t> out;
-  if (n > spec.offset) out.reserve((n - spec.offset - 1) / spec.granularity + 1);
-  for (std::size_t i = spec.offset; i < n; i += spec.granularity) {
-    out.push_back(i);
+  switch (spec.method) {
+    case Method::kSystematicCount:
+      if (spec.offset >= spec.granularity) {
+        throw std::invalid_argument("systematic: offset must be < k");
+      }
+      offset_ = spec.offset;
+      break;
+    case Method::kStratifiedCount:
+      break;
+    case Method::kSimpleRandom:
+      pick_ = spec_simple_random_n(spec);
+      population_ = spec.population;
+      if (pick_ > population_) {
+        throw std::invalid_argument("simple random: n exceeds population");
+      }
+      break;
+    case Method::kSystematicTimer:
+      k_ = static_cast<std::uint64_t>(spec_timer_period(spec).usec);
+      offset_ = spec_timer_phase_usec(spec);
+      queue_ = spec.expiry_policy == ExpiryPolicy::kQueue;
+      break;
+    case Method::kStratifiedTimer:
+      k_ = static_cast<std::uint64_t>(spec_timer_period(spec).usec);
+      break;
+    default:
+      throw std::invalid_argument("sampler spec: unknown method");
   }
-  return out;
+  begin(0);
 }
 
-std::vector<std::size_t> stratified_count(const SamplerSpec& spec,
-                                          std::size_t n) {
-  const std::uint64_t k = spec.granularity;
-  Rng rng(spec.seed);
-  std::vector<std::size_t> out;
-  out.reserve(n / k + 1);
-  // Bucket b's winner is the (b+1)-th uniform_below(k) draw, exactly as the
-  // streaming sampler draws one at begin() and one after each completed
-  // bucket. (When n is a multiple of k the streaming pass makes one extra
-  // trailing draw whose bucket never starts; it selects nothing.)
-  for (std::size_t start = 0; start < n; start += k) {
-    const std::uint64_t chosen = rng.uniform_below(k);
-    if (start + chosen < n) out.push_back(start + static_cast<std::size_t>(chosen));
+void SelectCursor::begin(std::uint64_t start_usec) {
+  pos_ = 0;
+  rng_ = Rng(seed_);
+  switch (method_) {
+    case Method::kSystematicCount:
+      next_ = offset_;
+      break;
+    case Method::kStratifiedCount:
+      // Bucket b's winner is the (b+1)-th uniform_below(k) draw.
+      bucket_ = 0;
+      next_ = rng_.uniform_below(k_);
+      break;
+    case Method::kSimpleRandom:
+      selected_ = 0;
+      break;
+    case Method::kSystematicTimer:
+      // Deadlines at start + phase + i*T, i >= 1.
+      start_ = start_usec + offset_;
+      consumed_ = 0;
+      next_ = start_ + k_;
+      break;
+    case Method::kStratifiedTimer:
+      // Window w's trigger is start + w*T + uniform_below(T).
+      start_ = start_usec;
+      consumed_ = 0;
+      next_ = start_ + rng_.uniform_below(k_);
+      break;
   }
-  return out;
 }
 
-std::vector<std::size_t> simple_random(const SamplerSpec& spec, std::size_t n) {
-  const std::uint64_t pick = spec_simple_random_n(spec);
-  if (pick > spec.population) {
-    throw std::invalid_argument("simple random: n exceeds population");
-  }
-  Rng rng(spec.seed);
-  std::vector<std::size_t> out;
-  out.reserve(static_cast<std::size_t>(pick));
-  // Algorithm S over the SoA range: packets past the declared population are
-  // never offered a draw, and once the sample is full the streaming sampler
-  // stops drawing — so we stop scanning.
-  const std::uint64_t limit =
-      std::min<std::uint64_t>(n, spec.population);
-  std::uint64_t selected = 0;
-  for (std::uint64_t i = 0; i < limit && selected < pick; ++i) {
-    if (rng.uniform_below(spec.population - i) < pick - selected) {
-      out.push_back(static_cast<std::size_t>(i));
-      ++selected;
+void SelectCursor::advance(std::span<const std::uint64_t> ts,
+                           std::vector<std::size_t>* out) {
+  const std::size_t n = ts.size();
+  const std::uint64_t end = pos_ + n;
+  switch (method_) {
+    case Method::kSystematicCount:
+      for (; next_ < end; next_ += k_) {
+        out->push_back(static_cast<std::size_t>(next_));
+      }
+      break;
+    case Method::kStratifiedCount: {
+      // (When the pass ends on a bucket boundary the streaming sampler
+      // makes one extra trailing draw for a bucket that never starts; it
+      // selects nothing.)
+      Rng rng = rng_;
+      while (next_ < end) {
+        out->push_back(static_cast<std::size_t>(next_));
+        bucket_ += k_;
+        next_ = bucket_ + rng.uniform_below(k_);
+      }
+      rng_ = rng;
+      break;
+    }
+    case Method::kSimpleRandom: {
+      // Algorithm S: packets past the declared population are never offered
+      // a draw, and once the sample is full the streaming sampler stops
+      // drawing — so we stop scanning.
+      const std::uint64_t limit = std::min(end, population_);
+      Rng rng = rng_;
+      std::uint64_t selected = selected_;
+      for (std::uint64_t i = pos_; i < limit && selected < pick_; ++i) {
+        if (rng.uniform_below(population_ - i) < pick_ - selected) {
+          out->push_back(static_cast<std::size_t>(i));
+          ++selected;
+        }
+      }
+      rng_ = rng;
+      selected_ = selected;
+      break;
+    }
+    case Method::kSystematicTimer: {
+      // A packet at time ts is selected iff floor((ts - start) / T) exceeds
+      // the expiries already consumed, i.e. iff ts >= next_ — so each
+      // selection is one binary search for that deadline. Under kCoalesce
+      // all deadlines that elapsed by the selected packet collapse; under
+      // kQueue exactly one is consumed per selection (and the search must
+      // resume past the selected packet, which a streaming pass cannot
+      // re-offer).
+      std::size_t j = 0;
+      while (j < n && ts[n - 1] >= next_) {
+        j = static_cast<std::size_t>(
+            std::lower_bound(ts.begin() + static_cast<std::ptrdiff_t>(j),
+                             ts.end(), next_) -
+            ts.begin());
+        out->push_back(static_cast<std::size_t>(pos_ + j));
+        consumed_ = queue_ ? consumed_ + 1 : (ts[j] - start_) / k_;
+        next_ = start_ + (consumed_ + 1) * k_;
+        ++j;
+      }
+      break;
+    }
+    case Method::kStratifiedTimer: {
+      // The first packet at or after the trigger is selected, then the next
+      // armed window is the first one beginning after the selected packet
+      // (elapsed windows coalesce). The new trigger lies strictly beyond
+      // the selected packet's window, hence beyond the packet itself.
+      Rng rng = rng_;
+      std::size_t j = 0;
+      while (j < n && ts[n - 1] >= next_) {
+        j = static_cast<std::size_t>(
+            std::lower_bound(ts.begin() + static_cast<std::ptrdiff_t>(j),
+                             ts.end(), next_) -
+            ts.begin());
+        out->push_back(static_cast<std::size_t>(pos_ + j));
+        consumed_ = std::max(consumed_ + 1, (ts[j] - start_) / k_ + 1);
+        next_ = start_ + consumed_ * k_ + rng.uniform_below(k_);
+        ++j;
+      }
+      rng_ = rng;
+      break;
     }
   }
-  return out;
+  pos_ = end;
 }
-
-std::vector<std::size_t> systematic_timer(const SamplerSpec& spec,
-                                          const BinnedTraceCache& cache,
-                                          std::size_t begin, std::size_t end) {
-  const std::uint64_t period =
-      static_cast<std::uint64_t>(spec_timer_period(spec).usec);
-  const std::uint64_t t0 =
-      cache.timestamps()[begin] + spec_timer_phase_usec(spec);
-  std::vector<std::size_t> out;
-  // A packet at time ts is selected iff floor((ts - t0) / T) exceeds the
-  // expiries already consumed, i.e. iff ts >= t0 + (consumed+1)*T — so each
-  // selection is one binary search for that deadline. Under kCoalesce all
-  // deadlines that elapsed by the selected packet collapse; under kQueue
-  // exactly one is consumed per selection (and the search must resume past
-  // the selected packet, which a streaming pass cannot re-offer).
-  std::uint64_t consumed = 0;
-  std::size_t pos = begin;
-  for (;;) {
-    const std::uint64_t deadline = t0 + (consumed + 1) * period;
-    const std::size_t j = cache.lower_bound_time(deadline, pos, end);
-    if (j >= end) break;
-    out.push_back(j - begin);
-    consumed = spec.expiry_policy == ExpiryPolicy::kCoalesce
-                   ? (cache.timestamps()[j] - t0) / period
-                   : consumed + 1;
-    pos = j + 1;
-  }
-  return out;
-}
-
-std::vector<std::size_t> stratified_timer(const SamplerSpec& spec,
-                                          const BinnedTraceCache& cache,
-                                          std::size_t begin, std::size_t end) {
-  const std::uint64_t period =
-      static_cast<std::uint64_t>(spec_timer_period(spec).usec);
-  const std::uint64_t start = cache.timestamps()[begin];
-  Rng rng(spec.seed);
-  std::vector<std::size_t> out;
-  // Window w's trigger is start + w*T + uniform_below(T); the first packet
-  // at or after it is selected, then the next armed window is the first one
-  // beginning after the selected packet (elapsed windows coalesce). The
-  // new trigger always lies strictly beyond the selected packet's window,
-  // hence beyond the packet itself, so searches resume at j + 1.
-  std::uint64_t w = 0;
-  std::uint64_t trigger = start + rng.uniform_below(period);
-  std::size_t pos = begin;
-  for (;;) {
-    const std::size_t j = cache.lower_bound_time(trigger, pos, end);
-    if (j >= end) break;
-    out.push_back(j - begin);
-    const std::uint64_t current_window =
-        (cache.timestamps()[j] - start) / period;
-    w = std::max(w + 1, current_window + 1);
-    trigger = start + w * period + rng.uniform_below(period);
-    pos = j + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<std::size_t> select_indices(const SamplerSpec& spec,
                                         const BinnedTraceCache& cache,
@@ -139,52 +173,44 @@ std::vector<std::size_t> select_indices(const SamplerSpec& spec,
   if (begin > end || end > cache.size()) {
     throw std::out_of_range("select_indices: bad range");
   }
-  if (spec.granularity == 0) {
-    throw std::invalid_argument("sampler spec: granularity must be >= 1");
-  }
+  SelectCursor cursor(spec);  // validates, even when the range is empty
   const std::size_t n = end - begin;
   obs::Span kernel_span("kernel");
   std::vector<std::size_t> out;
   // Batched SIMD kernels replay the same raw RNG word sequence as the
-  // scalar kernels (which in turn replay the streaming samplers), so any
-  // variant yields the identical index set; a kernel may also decline
-  // (return false) and drop to the scalar reference.
+  // cursors (which in turn replay the streaming samplers), so any variant
+  // yields the identical index set; a kernel may also decline (return
+  // false) and leave the range to the cursor.
   const simd::KernelTable& simd_kernels = simd::kernels();
+  bool batched = false;
+  std::size_t expected = 0;  // capacity hint for the cursor's output
   switch (spec.method) {
     case Method::kSystematicCount:
-      out = systematic_count(spec, n);
+      if (n > spec.offset) expected = (n - spec.offset - 1) / spec.granularity + 1;
       break;
     case Method::kStratifiedCount:
-      if (simd_kernels.stratified_count == nullptr ||
-          !simd_kernels.stratified_count(spec.granularity, spec.seed, n,
-                                         &out)) {
-        out = stratified_count(spec, n);
-      }
+      batched = simd_kernels.stratified_count != nullptr &&
+                simd_kernels.stratified_count(spec.granularity, spec.seed, n,
+                                              &out);
+      expected = n / spec.granularity + 1;
       break;
     case Method::kSimpleRandom: {
       const std::uint64_t pick = spec_simple_random_n(spec);
-      if (pick > spec.population) {
-        throw std::invalid_argument("simple random: n exceeds population");
-      }
       const std::uint64_t limit = std::min<std::uint64_t>(n, spec.population);
-      if (simd_kernels.simple_random == nullptr ||
-          !simd_kernels.simple_random(pick, spec.population, limit, spec.seed,
-                                      &out)) {
-        out = simple_random(spec, n);
-      }
+      batched = simd_kernels.simple_random != nullptr &&
+                simd_kernels.simple_random(pick, spec.population, limit,
+                                           spec.seed, &out);
+      expected = static_cast<std::size_t>(pick);
       break;
     }
-    case Method::kSystematicTimer:
-    case Method::kStratifiedTimer:
-      // Validate even when the range is empty, matching make_sampler.
-      (void)spec_timer_period(spec);
-      if (n == 0) break;
-      out = spec.method == Method::kSystematicTimer
-                ? systematic_timer(spec, cache, begin, end)
-                : stratified_timer(spec, cache, begin, end);
-      break;
     default:
-      throw std::invalid_argument("sampler spec: unknown method");
+      break;
+  }
+  if (!batched && n > 0) {
+    out.reserve(expected);
+    const auto ts = cache.timestamps().subspan(begin, n);
+    cursor.begin(ts.front());
+    cursor.advance(ts, &out);
   }
   if (obs::enabled()) {
     // Every kernel's RNG consumption is a closed-form function of its

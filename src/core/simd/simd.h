@@ -16,9 +16,9 @@
 // sequences raw-word-for-raw-word), same integer histogram counts, hence
 // the same phi/chi-squared to the last bit. "Close" is a bug; the
 // differential suite in tests/test_simd_kernels.cpp and the full-grid
-// identity tests enforce exactness. The scalar path (the pre-SIMD code in
-// trace_cache.cpp / select_indices.cpp) remains the reference, and the
-// streaming samplers remain the oracle underneath both.
+// identity tests enforce exactness. The scalar path (the scalar ladder in
+// bin_ladders.cpp and the cursors in select_indices.cpp) remains the
+// reference, and the streaming samplers remain the oracle underneath both.
 //
 // A requested variant that is not compiled in or not supported by the CPU
 // falls back to scalar (never to a different vector ISA), so forcing

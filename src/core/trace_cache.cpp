@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/bin_ladders.h"
 #include "core/simd/simd.h"
 #include "obs/metrics.h"
 
@@ -13,49 +14,25 @@ BinnedTraceCache::BinnedTraceCache(trace::TraceView base)
       size_edges_own_(paper_bin_edges(Target::kPacketSize)),
       gap_edges_own_(paper_bin_edges(Target::kInterarrivalTime)) {
   const std::size_t n = base.size();
-  // Bin ids come from the same Histogram::bin_index the streaming oracle
-  // uses, so the two binnings cannot drift apart.
-  const stats::Histogram size_layout{std::vector<double>(size_edges_own_)};
-  const stats::Histogram gap_layout{std::vector<double>(gap_edges_own_)};
-  const std::size_t size_bins = size_layout.bin_count();
-  const std::size_t gap_bins = gap_layout.bin_count();
+  const std::size_t size_bins = size_edges_own_.size() + 1;
+  const std::size_t gap_bins = gap_edges_own_.size() + 1;
+  // Built before the large arrays so its small vectors sit below them on
+  // the heap; above them they pin freed space (+1.1 MiB peak RSS on
+  // perfbench's shard_lease under glibc malloc).
+  const PaperBinLadders ladders;
 
   ts_own_.resize(n);
   size_bin_own_.resize(n);
   gap_bin_own_.resize(n);
-  bool vectorized = false;
-  if (const auto& kt = simd::kernels();
-      n > 0 && kt.classify_u32 != nullptr && kt.classify_gaps_u64 != nullptr) {
-    // The SIMD compare ladders work on integer thresholds equivalent to
-    // bin_index on integer inputs (see simd.h); paper edges always qualify,
-    // exotic custom edges fall back to the scalar reference below.
-    const auto size_thr = simd::integer_thresholds_u32(size_edges_own_);
-    const auto gap_thr = simd::integer_thresholds(gap_edges_own_);
-    if (size_thr.has_value() && gap_thr.has_value() &&
-        size_thr->size() <= simd::kMaxThresholds &&
-        gap_thr->size() <= simd::kMaxThresholds) {
-      std::vector<std::uint32_t> sizes(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ts_own_[i] = base[i].timestamp.usec;
-        sizes[i] = base[i].size;
-      }
-      kt.classify_u32(sizes.data(), n, size_thr->data(), size_thr->size(),
-                      size_bin_own_.data());
-      kt.classify_gaps_u64(ts_own_.data(), n, gap_thr->data(), gap_thr->size(),
-                           gap_bin_own_.data());
-      vectorized = true;
-    }
-  }
-  if (!vectorized) {
+  {
+    // Scoped so the sizes are freed before the prefix tables exist.
+    std::vector<std::uint32_t> sizes(n);
     for (std::size_t i = 0; i < n; ++i) {
       ts_own_[i] = base[i].timestamp.usec;
-      size_bin_own_[i] = static_cast<std::uint8_t>(
-          size_layout.bin_index(static_cast<double>(base[i].size)));
-      gap_bin_own_[i] =
-          i == 0 ? 0
-                 : static_cast<std::uint8_t>(gap_layout.bin_index(
-                       static_cast<double>(ts_own_[i] - ts_own_[i - 1])));
+      sizes[i] = base[i].size;
     }
+    ladders.classify_sizes(sizes, size_bin_own_.data());
+    ladders.classify_gaps(ts_own_, gap_bin_own_.data());
   }
 
   size_prefix_own_.assign(size_bins * (n + 1), 0);

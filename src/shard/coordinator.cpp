@@ -1,6 +1,7 @@
 #include "shard/coordinator.h"
 
 #include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -53,6 +54,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A descriptor that polls readable once child `pid` exits (a Linux
+/// pidfd), or -1 where the kernel offers none; the caller then wakes on its
+/// poll timeout instead.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
+
 /// Floating seconds -> the steady clock's native duration, so time_point
 /// arithmetic stays in one representation.
 Clock::duration secs(double s) {
@@ -76,6 +89,8 @@ enum class Departure { kUnexpected, kClean };
 struct Slot {
   pid_t pid{-1};
   bool proc_alive{false};  // we spawned it and have not reaped it
+  int exit_fd{-1};         // pidfd of that process: readable once it exits
+  bool scripted{false};    // carries a die/depart-after drill
   bool external{false};    // connected on its own; not our child
   bool dead{false};
   std::unique_ptr<Transport> chan;
@@ -116,7 +131,7 @@ class Coordinator {
         ::kill(s.pid, SIGKILL);
         int st = 0;
         ::waitpid(s.pid, &st, 0);
-        s.proc_alive = false;
+        reaped(s);
       }
     }
   }
@@ -128,6 +143,13 @@ class Coordinator {
 
   static bool connected(const Slot& s) {
     return s.chan != nullptr && !s.chan->is_closed();
+  }
+
+  /// Bookkeeping once waitpid has collected s's process.
+  static void reaped(Slot& s) {
+    s.proc_alive = false;
+    if (s.exit_fd >= 0) ::close(s.exit_fd);
+    s.exit_fd = -1;
   }
 
   std::size_t capacity() const {
@@ -172,13 +194,14 @@ class Coordinator {
     }
     if (pid == 0) {
       // Child. Drop every parent-side descriptor we inherited — our own
-      // pipe's far ends (so EOF propagates), every sibling wire, and the
-      // listener — so a sibling's death is visible to the coordinator as
-      // EOF and nobody but the coordinator can accept().
+      // pipe's far ends (so EOF propagates), every sibling wire and exit
+      // descriptor, and the listener — so a sibling's death is visible to
+      // the coordinator as EOF and nobody but the coordinator can accept().
       std::vector<int> parent_fds;
       if (listener_.fd() >= 0) parent_fds.push_back(listener_.fd());
       for (const auto& other : slots_) {
         if (other.chan) other.chan->append_fds(&parent_fds);
+        if (other.exit_fd >= 0) parent_fds.push_back(other.exit_fd);
       }
       for (const auto& pc : pending_conns_) {
         pc.chan->append_fds(&parent_fds);
@@ -252,6 +275,8 @@ class Coordinator {
     // Parent.
     s.pid = pid;
     s.proc_alive = true;
+    s.exit_fd = open_pidfd(pid);
+    s.scripted = give_die || give_depart;
     ++report_.workers_spawned;
     first_spawn_done_ = true;
     if (socket_mode_) {
@@ -286,8 +311,21 @@ class Coordinator {
     grant(s);
   }
 
+  /// A die/depart drill scripts the first worker to leave after N cells.
+  /// Its peers get no lease until it has left, so no peer can drain the
+  /// grid before the drill fires, and the cells it still held are pending
+  /// when the coordinator decides whether to respawn.
+  bool held_back(const Slot& s) const {
+    if (s.scripted) return false;
+    for (const auto& other : slots_) {
+      if (other.scripted && !other.dead) return true;
+    }
+    return false;
+  }
+
   /// Top a worker up to kLeaseDepth outstanding leases.
   void grant(Slot& s) {
+    if (held_back(s)) return;
     while (connected(s) && !s.suspended &&
            s.outstanding.size() < kLeaseDepth) {
       // Skip queue entries a late duplicate already completed.
@@ -360,7 +398,7 @@ class Coordinator {
       if (kind == Departure::kUnexpected) ::kill(s.pid, SIGKILL);
       int st = 0;
       ::waitpid(s.pid, &st, 0);
-      s.proc_alive = false;
+      reaped(s);
     }
     s.awaiting = false;
     s.suspended = false;
@@ -380,7 +418,7 @@ class Coordinator {
       if (!s.proc_alive) continue;
       int st = 0;
       if (::waitpid(s.pid, &st, WNOHANG) != s.pid) continue;
-      s.proc_alive = false;
+      reaped(s);
       if (!connected(s) && !s.dead) finalize_death(s, Departure::kUnexpected);
     }
   }
@@ -700,14 +738,15 @@ class Coordinator {
       for (auto& s : slots_) {
         if (!s.proc_alive) continue;
         int st = 0;
-        if (::waitpid(s.pid, &st, WNOHANG) == s.pid) s.proc_alive = false;
+        if (::waitpid(s.pid, &st, WNOHANG) == s.pid) reaped(s);
       }
       bool any_proc = false;
       for (const auto& s : slots_) any_proc = any_proc || s.proc_alive;
       if (!any_proc) break;
 
       std::vector<pollfd> fds;
-      std::vector<int> kinds;  // 0 = listener, 1 = pending, 2 = slot
+      // 0 = listener, 1 = pending, 2 = slot, 3 = child exit
+      std::vector<int> kinds;
       std::vector<std::size_t> refs;
       if (socket_mode_ && listener_.fd() >= 0) {
         fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
@@ -723,6 +762,14 @@ class Coordinator {
         if (connected(slots_[i])) {
           fds.push_back(pollfd{slots_[i].chan->poll_fd(), POLLIN, 0});
           kinds.push_back(2);
+          refs.push_back(i);
+        }
+        // Once a wire hits EOF the set may hold nothing else; waking on
+        // the exit itself keeps the poll from sleeping its whole timeout
+        // after the last worker has gone.
+        if (slots_[i].proc_alive && slots_[i].exit_fd >= 0) {
+          fds.push_back(pollfd{slots_[i].exit_fd, POLLIN, 0});
+          kinds.push_back(3);
           refs.push_back(i);
         }
       }
@@ -746,14 +793,14 @@ class Coordinator {
               ReadResult::kClosed) {
             dead_pending.push_back(refs[f]);
           }
-        } else {
+        } else if (kinds[f] == 2) {
           Slot& s = slots_[refs[f]];
           std::vector<std::string> lines;
           if (s.chan->drain(&lines) == ReadResult::kClosed) {
             s.chan->close();
             s.chan.reset();
           }
-        }
+        }  // a child exit is reaped at the top of the loop
       }
       std::sort(dead_pending.rbegin(), dead_pending.rend());
       for (const std::size_t i : dead_pending) {
@@ -767,7 +814,7 @@ class Coordinator {
         ::kill(s.pid, SIGKILL);
         int st = 0;
         ::waitpid(s.pid, &st, 0);
-        s.proc_alive = false;
+        reaped(s);
       }
       if (s.chan) {
         s.chan->close();
@@ -924,7 +971,8 @@ StatusOr<ShardReport> Coordinator::run() {
     if (done_count_ == n_) break;
 
     std::vector<pollfd> fds;
-    std::vector<int> kinds;  // 0 = listener, 1 = pending conn, 2 = slot
+    // 0 = listener, 1 = pending conn, 2 = slot, 3 = child exit
+    std::vector<int> kinds;
     std::vector<std::size_t> refs;
     if (socket_mode_ && listener_.fd() >= 0) {
       fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
@@ -940,6 +988,13 @@ StatusOr<ShardReport> Coordinator::run() {
       if (connected(slots_[i])) {
         fds.push_back(pollfd{slots_[i].chan->poll_fd(), POLLIN, 0});
         kinds.push_back(2);
+        refs.push_back(i);
+      }
+      // A socket worker's death leaves no EOF to wake on while its slot
+      // awaits a reconnect; its exit is reaped at the top of the loop.
+      if (slots_[i].proc_alive && slots_[i].exit_fd >= 0) {
+        fds.push_back(pollfd{slots_[i].exit_fd, POLLIN, 0});
+        kinds.push_back(3);
         refs.push_back(i);
       }
     }
@@ -976,6 +1031,7 @@ StatusOr<ShardReport> Coordinator::run() {
         }
         continue;
       }
+      if (kinds[f] == 3) continue;  // reaped at the top of the loop
       Slot& s = slots_[refs[f]];
       if (!connected(s)) continue;
       std::vector<std::string> lines;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/bin_ladders.h"
+#include "core/select_indices.h"
 #include "obs/metrics.h"
 
 namespace netsample::stream {
@@ -49,6 +51,35 @@ std::vector<LaneSpec> lanes_for_cell(const exper::CellConfig& config,
   return lanes;
 }
 
+// Lanes with equal SamplerSpecs select the same packets, so they share one
+// cursor and its sample histograms (one per target).
+struct Engine::Selector {
+  core::SamplerSpec spec;
+  core::SelectCursor cursor;
+  std::vector<std::uint64_t> size_counts;
+  std::vector<std::uint64_t> gap_counts;
+  std::deque<std::uint64_t> picks;  // selected positions still in window
+  std::vector<std::size_t> lanes;
+};
+
+namespace {
+
+const core::PaperBinLadders& ladders() {
+  static const core::PaperBinLadders instance;
+  return instance;
+}
+
+// Lanes whose specs agree on every field select the same packets.
+bool same_selection(const core::SamplerSpec& a, const core::SamplerSpec& b) {
+  return a.method == b.method && a.granularity == b.granularity &&
+         a.offset == b.offset && a.population == b.population &&
+         a.mean_interarrival_usec == b.mean_interarrival_usec &&
+         a.seed == b.seed && a.expiry_policy == b.expiry_policy &&
+         a.timer_phase_usec == b.timer_phase_usec;
+}
+
+}  // namespace
+
 Engine::Engine(std::vector<LaneSpec> lanes, EngineOptions options)
     : options_(options),
       size_layout_(core::make_target_histogram(core::Target::kPacketSize)),
@@ -64,90 +95,140 @@ Engine::Engine(std::vector<LaneSpec> lanes, EngineOptions options)
   lanes_.reserve(lanes.size());
   for (auto& spec : lanes) {
     Lane lane;
-    lane.sampler = core::make_sampler(spec.spec);  // throws on bad specs
-    const auto& layout = spec.target == core::Target::kPacketSize
-                             ? size_layout_
-                             : gap_layout_;
-    lane.counts.assign(layout.bin_count(), 0);
+    lane.selector = static_cast<std::size_t>(
+        std::find_if(selectors_.begin(), selectors_.end(),
+                     [&](const Selector& sel) {
+                       return same_selection(sel.spec, spec.spec);
+                     }) -
+        selectors_.begin());
+    if (lane.selector == selectors_.size()) {
+      selectors_.push_back(Selector{
+          spec.spec, core::SelectCursor(spec.spec),  // throws on bad specs
+          std::vector<std::uint64_t>(size_layout_.bin_count(), 0),
+          std::vector<std::uint64_t>(gap_layout_.bin_count(), 0),
+          {},
+          {}});
+    }
+    selectors_[lane.selector].lanes.push_back(lanes_.size());
     lane.spec = std::move(spec);
     lanes_.push_back(std::move(lane));
   }
   if (options_.collect_indices) indices_.resize(lanes_.size());
 }
 
+Engine::~Engine() = default;
+Engine::Engine(Engine&&) = default;
+Engine& Engine::operator=(Engine&&) = default;
+
 void Engine::feed(std::span<const trace::PacketRecord> chunk) {
   if (finished_) throw std::logic_error("stream::Engine: feed after finish");
-  for (const auto& p : chunk) {
-    if (packets_ % util::kCancelPollStride == 0) {
-      util::throw_if_stopped(options_.cancel);
-    }
-    if (!started_) {
-      started_ = true;
-      first_ts_ = p.timestamp;
-      prev_ts_ = p.timestamp;
-      for (auto& lane : lanes_) lane.sampler->begin(p.timestamp);
-      if (options_.stride.usec > 0) next_tick_ = first_ts_ + options_.stride;
-    } else if (p.timestamp < prev_ts_) {
+  if (chunk.empty()) return;
+  const std::size_t n = chunk.size();
+  ts_.resize(n + 1);
+  sizes_.resize(n);
+  ts_[0] = started_ ? prev_ts_.usec : chunk.front().timestamp.usec;
+  for (std::size_t i = 0; i < n; ++i) {
+    ts_[i + 1] = chunk[i].timestamp.usec;
+    sizes_[i] = chunk[i].size;
+    if (ts_[i + 1] < ts_[i]) {
       throw std::invalid_argument(
           "stream::Engine: packets must arrive in time order");
     }
-    if (options_.stride.usec > 0) emit_ticks(p.timestamp);
-    ingest(p);
   }
-  if (obs::enabled() && !chunk.empty()) {
+  size_bins_.resize(n);
+  gap_bins_.resize(n + 1);
+  ladders().classify_sizes(sizes_, size_bins_.data());
+  ladders().classify_gaps(ts_, gap_bins_.data());
+
+  // Runs end at the next cancel poll and before the first packet that
+  // crosses the next tick, so both happen exactly where a packet-at-a-time
+  // loop would put them.
+  for (std::size_t i = 0; i < n;) {
+    const std::uint64_t to_poll =
+        util::kCancelPollStride - packets_ % util::kCancelPollStride;
+    if (to_poll == util::kCancelPollStride) {
+      util::throw_if_stopped(options_.cancel);
+    }
+    if (!started_) start_stream(ts_[i + 1]);
+    std::size_t end = i + static_cast<std::size_t>(std::min<std::uint64_t>(
+                              n - i, to_poll));
+    if (options_.stride.usec > 0) {
+      emit_ticks(MicroTime{ts_[i + 1]});
+      end = static_cast<std::size_t>(
+          std::lower_bound(ts_.begin() + static_cast<std::ptrdiff_t>(i + 2),
+                           ts_.begin() + static_cast<std::ptrdiff_t>(end + 1),
+                           next_tick_.usec) -
+          ts_.begin() - 1);
+    }
+    ingest(i, end);
+    i = end;
+  }
+  if (obs::enabled()) {
     auto& m = stream_metrics();
     m.chunks.increment();
-    m.packets.add(chunk.size());
+    m.packets.add(n);
     m.window_peak.max(static_cast<double>(window_peak_));
   }
 }
 
-void Engine::ingest(const trace::PacketRecord& p) {
+void Engine::start_stream(std::uint64_t ts) {
+  started_ = true;
+  first_ts_ = MicroTime{ts};
+  prev_ts_ = first_ts_;
+  for (auto& sel : selectors_) sel.cursor.begin(ts);
+  if (options_.stride.usec > 0) next_tick_ = first_ts_ + options_.stride;
+}
+
+void Engine::ingest(std::size_t begin, std::size_t end) {
   const bool windowed = options_.window.usec > 0;
+  const std::size_t len = end - begin;
+  const std::uint64_t first = packets_;
+  const std::span<const std::uint64_t> ts(ts_.data() + begin + 1, len);
+  const std::uint8_t* sbin = size_bins_.data() + begin;
+  const std::uint8_t* gbin = gap_bins_.data() + begin + 1;
   // A packet's interarrival gap references its stream predecessor; it is
   // in scope unless the packet opens the stream (drain mode) or the
-  // current window (rolling mode).
-  const bool gap_in_hist = windowed ? !window_.empty() : packets_ > 0;
-  const std::size_t sbin =
-      size_layout_.bin_index(static_cast<double>(p.size));
-  std::size_t gbin = 0;
-  if (gap_in_hist) {
-    gbin = gap_layout_.bin_index(
-        static_cast<double>((p.timestamp - prev_ts_).usec));
+  // current window (rolling mode). Only a run's first packet can do either:
+  // every later one follows a packet the run just ingested.
+  const bool lead_gap = windowed ? !window_.empty() : packets_ > 0;
+
+  for (std::size_t k = 0; k < len; ++k) ++pop_size_counts_[sbin[k]];
+  for (std::size_t k = lead_gap ? 0 : 1; k < len; ++k) {
+    ++pop_gap_counts_[gbin[k]];
   }
 
-  std::uint64_t selected = 0;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& lane = lanes_[i];
-    if (!lane.sampler->offer(p)) continue;
-    selected |= std::uint64_t{1} << i;
-    if (lane.spec.target == core::Target::kPacketSize) {
-      ++lane.counts[sbin];
-    } else if (gap_in_hist) {
-      ++lane.counts[gbin];
+  for (auto& sel : selectors_) {
+    run_picks_.clear();
+    sel.cursor.advance(ts, &run_picks_);
+    for (const std::size_t pos : run_picks_) {
+      const std::size_t k = pos - first;
+      ++sel.size_counts[sbin[k]];
+      if (k > 0 || lead_gap) ++sel.gap_counts[gbin[k]];
     }
-    if (options_.collect_indices) indices_[i].push_back(packets_);
+    if (windowed) {
+      sel.picks.insert(sel.picks.end(), run_picks_.begin(), run_picks_.end());
+    }
+    if (options_.collect_indices) {
+      for (const std::size_t lane : sel.lanes) {
+        indices_[lane].insert(indices_[lane].end(), run_picks_.begin(),
+                              run_picks_.end());
+      }
+    }
   }
-
-  ++pop_size_counts_[sbin];
-  if (gap_in_hist) ++pop_gap_counts_[gbin];
 
   if (windowed) {
-    // Without periodic ticks nobody else trims the deque; keep the memory
-    // bound per-packet instead.
-    if (options_.stride.usec <= 0 &&
-        p.timestamp.usec > static_cast<std::uint64_t>(options_.window.usec)) {
-      evict_to(p.timestamp.usec -
-               static_cast<std::uint64_t>(options_.window.usec));
+    const auto w = static_cast<std::uint64_t>(options_.window.usec);
+    for (std::size_t k = 0; k < len; ++k) {
+      // Without periodic ticks nobody else trims the deque; keep the memory
+      // bound per-packet instead (before the packet joins the window).
+      if (options_.stride.usec <= 0 && ts[k] > w) evict_to(ts[k] - w);
+      window_.push_back(Entry{ts[k], sbin[k], gbin[k], k > 0 || lead_gap});
+      window_peak_ = std::max<std::uint64_t>(window_peak_, window_.size());
     }
-    window_.push_back(Entry{p.timestamp.usec, static_cast<std::uint32_t>(sbin),
-                            static_cast<std::uint32_t>(gbin), gap_in_hist,
-                            selected});
-    window_peak_ = std::max<std::uint64_t>(window_peak_, window_.size());
   }
 
-  prev_ts_ = p.timestamp;
-  ++packets_;
+  prev_ts_ = MicroTime{ts[len - 1]};
+  packets_ += len;
 }
 
 void Engine::emit_ticks(MicroTime now) {
@@ -171,33 +252,36 @@ void Engine::emit_ticks(MicroTime now) {
 }
 
 void Engine::evict_to(std::uint64_t cutoff_usec) {
-  while (!window_.empty() && window_.front().ts < cutoff_usec) {
-    const Entry e = window_.front();
-    window_.pop_front();
+  std::size_t gone = 0;
+  while (gone < window_.size() && window_[gone].ts < cutoff_usec) ++gone;
+  if (gone == 0) return;
+  const std::uint64_t new_base = window_base_ + gone;
+  for (auto& sel : selectors_) {
+    while (!sel.picks.empty() && sel.picks.front() < new_base) {
+      const Entry& e = window_[sel.picks.front() - window_base_];
+      --sel.size_counts[e.size_bin];
+      if (e.gap_in_hist) --sel.gap_counts[e.gap_bin];
+      sel.picks.pop_front();
+    }
+  }
+  for (std::size_t k = 0; k < gone; ++k) {
+    const Entry& e = window_[k];
     --pop_size_counts_[e.size_bin];
     if (e.gap_in_hist) --pop_gap_counts_[e.gap_bin];
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if ((e.selected & (std::uint64_t{1} << i)) == 0) continue;
-      Lane& lane = lanes_[i];
-      if (lane.spec.target == core::Target::kPacketSize) {
-        --lane.counts[e.size_bin];
-      } else if (e.gap_in_hist) {
-        --lane.counts[e.gap_bin];
+  }
+  window_.erase(window_.begin(),
+                window_.begin() + static_cast<std::ptrdiff_t>(gone));
+  window_base_ = new_base;
+  // The surviving front just lost its predecessor; its gap leaves scope.
+  if (!window_.empty() && window_.front().gap_in_hist) {
+    Entry& f = window_.front();
+    --pop_gap_counts_[f.gap_bin];
+    for (auto& sel : selectors_) {
+      if (!sel.picks.empty() && sel.picks.front() == window_base_) {
+        --sel.gap_counts[f.gap_bin];
       }
     }
-    // The surviving front just lost its predecessor; its gap leaves scope.
-    if (!window_.empty() && window_.front().gap_in_hist) {
-      Entry& f = window_.front();
-      --pop_gap_counts_[f.gap_bin];
-      for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        if ((f.selected & (std::uint64_t{1} << i)) == 0) continue;
-        Lane& lane = lanes_[i];
-        if (lane.spec.target == core::Target::kInterarrivalTime) {
-          --lane.counts[f.gap_bin];
-        }
-      }
-      f.gap_in_hist = false;
-    }
+    f.gap_in_hist = false;
   }
 }
 
@@ -219,13 +303,14 @@ WindowScore Engine::score(std::uint64_t tick, bool is_final, MicroTime start,
     const bool size_target = lane.spec.target == core::Target::kPacketSize;
     const auto& layout = size_target ? size_layout_ : gap_layout_;
     const auto& pop_counts = size_target ? pop_size_counts_ : pop_gap_counts_;
+    const Selector& sel = selectors_[lane.selector];
     std::uint64_t pop_total = 0;
     for (const auto c : pop_counts) pop_total += c;
     if (pop_total > 0) {
       std::vector<double> edges(layout.edges().begin(), layout.edges().end());
       const auto population = stats::Histogram::with_counts(edges, pop_counts);
-      const auto observed =
-          stats::Histogram::with_counts(std::move(edges), lane.counts);
+      const auto observed = stats::Histogram::with_counts(
+          std::move(edges), size_target ? sel.size_counts : sel.gap_counts);
       ls.metrics = core::score_sample(
           observed, population,
           1.0 / static_cast<double>(lane.spec.spec.granularity));

@@ -1,10 +1,10 @@
 // The bounded-memory online scoring engine (docs/STREAMING.md).
 //
-// An Engine owns a set of *lanes* — one streaming sampler each, built from
-// the same core::SamplerSpec machinery as the batch runner — plus rolling
-// population and per-lane sample histograms over the paper's size /
-// interarrival bins. Packets are fed chunk-by-chunk in arrival order; at
-// any instant the windowed φ disparity of every lane against the rolling
+// An Engine owns a set of *lanes* — one sampling discipline and histogram
+// target each, from the same core::SamplerSpec vocabulary as the batch
+// runner — plus rolling population and sample histograms over the paper's
+// size / interarrival bins. Packets are fed chunk-by-chunk in arrival order;
+// at any instant the windowed φ disparity of every lane against the rolling
 // population is available without a full-trace cache.
 //
 // Two operating shapes:
@@ -20,10 +20,16 @@
 //     packets) keeps the histograms scoped to the trailing window; memory
 //     is O(window + stride), never O(trace). `netsample watch` runs this.
 //
+// Each chunk is classified once (core::PaperBinLadders, the cache build's
+// ladders), then cut into runs at snapshot ticks and cancel polls. Every
+// run is offered to one core::SelectCursor per distinct SamplerSpec — the
+// same cursor core::select_indices runs — and lanes with equal specs (the
+// two targets of one replication) share that cursor and its selections.
+//
 // Determinism contract: for a fixed lane configuration and input stream the
 // outputs (φ values, selected indices, snapshot rows) are byte-identical
-// regardless of how the stream is chunked. Chunk boundaries carry no state;
-// every decision is per-packet.
+// regardless of how the stream is chunked. A tick fires before the packet
+// that crosses it is ingested, wherever the chunk boundaries fall.
 //
 // Interarrival semantics follow core/targets.h: a packet contributes the
 // gap to its immediate predecessor in the arrival stream; the first packet
@@ -35,13 +41,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/metrics.h"
-#include "core/sampler.h"
 #include "core/samplers.h"
 #include "core/targets.h"
 #include "exper/runner.h"
@@ -108,10 +112,13 @@ class Engine {
  public:
   using SnapshotFn = std::function<void(const WindowScore&)>;
 
-  /// Builds every lane's sampler up front; throws std::invalid_argument on
-  /// an inconsistent spec, more than kMaxLanes lanes, or negative
-  /// window/stride.
+  /// Builds every lane's selection cursor up front; throws
+  /// std::invalid_argument on an inconsistent spec, more than kMaxLanes
+  /// lanes, or negative window/stride.
   explicit Engine(std::vector<LaneSpec> lanes, EngineOptions options = {});
+  ~Engine();
+  Engine(Engine&&);
+  Engine& operator=(Engine&&);
 
   /// Called with each periodic snapshot, from inside feed(), in tick order.
   void on_snapshot(SnapshotFn fn) { snapshot_fn_ = std::move(fn); }
@@ -119,7 +126,9 @@ class Engine {
   /// Ingest the next packets of the stream, in arrival order. Chunk size is
   /// arbitrary and does not affect any output. Emits pending snapshots as
   /// ticks are crossed. Throws util::StatusError when the cancel token
-  /// fires and std::invalid_argument on a time-ordering violation.
+  /// fires and std::invalid_argument on a time-ordering violation; the
+  /// order is checked before any packet of the chunk is ingested, so a
+  /// rejected chunk leaves the engine unchanged.
   void feed(std::span<const trace::PacketRecord> chunk);
 
   /// Score the final (partial) window — the whole stream in drain mode —
@@ -140,26 +149,28 @@ class Engine {
   }
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
-  /// Lane-selection bitmasks cap the lane count (one bit per lane).
+  /// Cap on the lane count, which session specs validate against.
   static constexpr std::size_t kMaxLanes = 64;
 
  private:
+  // One selection cursor per distinct SamplerSpec, shared by the lanes
+  // with that spec (engine.cpp; the cursor type is internal to core).
+  struct Selector;
   struct Lane {
     LaneSpec spec;
-    std::unique_ptr<core::Sampler> sampler;
-    std::vector<std::uint64_t> counts;  // sample histogram for spec.target
+    std::size_t selector{0};
   };
 
   // Rolling-window bookkeeping: per-packet bin ids, not packets.
   struct Entry {
     std::uint64_t ts{0};
-    std::uint32_t size_bin{0};
-    std::uint32_t gap_bin{0};
+    std::uint8_t size_bin{0};
+    std::uint8_t gap_bin{0};
     bool gap_in_hist{false};  // its gap is currently counted
-    std::uint64_t selected{0};  // lane bitmask
   };
 
-  void ingest(const trace::PacketRecord& p);
+  void start_stream(std::uint64_t ts);
+  void ingest(std::size_t begin, std::size_t end);
   void emit_ticks(MicroTime now);
   void evict_to(std::uint64_t cutoff_usec);
   [[nodiscard]] WindowScore score(std::uint64_t tick, bool is_final,
@@ -167,6 +178,7 @@ class Engine {
 
   EngineOptions options_;
   std::vector<Lane> lanes_;
+  std::vector<Selector> selectors_;
   std::vector<std::vector<std::size_t>> indices_;
 
   stats::Histogram size_layout_;
@@ -174,7 +186,16 @@ class Engine {
   std::vector<std::uint64_t> pop_size_counts_;
   std::vector<std::uint64_t> pop_gap_counts_;
 
+  // The chunk being fed: ts_[0] is its predecessor's arrival time and
+  // ts_[i + 1] packet i's; gap_bins_ follows the same offset.
+  std::vector<std::uint64_t> ts_;
+  std::vector<std::uint32_t> sizes_;
+  std::vector<std::uint8_t> size_bins_;
+  std::vector<std::uint8_t> gap_bins_;
+  std::vector<std::size_t> run_picks_;
+
   std::deque<Entry> window_;
+  std::uint64_t window_base_{0};  // stream position of window_.front()
   bool started_{false};
   bool finished_{false};
   MicroTime first_ts_{};

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -751,6 +753,35 @@ TEST(ShardCoordinator, SocketChaosSigkillReassignsAndStaysBitIdentical) {
   expect_matches_reference(*got, threaded_reference(spec, 1));
   EXPECT_EQ(got->workers_killed, 1u);
   EXPECT_LE(got->workers_died, 1u);  // see ChaosSigkill above for the race
+}
+
+/// Best of five wall times, in ms, of a one-worker sweep of small_spec().
+double best_sweep_ms(TransportKind transport) {
+  double best = 1e9;
+  for (int i = 0; i < 5; ++i) {
+    CoordinatorOptions opts;
+    opts.workers = 1;
+    opts.store_path = fixture().store_path;
+    opts.transport = transport;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto got = run_sharded_sweep(small_spec(), opts);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(got.has_value() && got->all_ok());
+    best = std::min(best, took.count());
+  }
+  return best;
+}
+
+// Shutdown wakes when the worker exits. A poll that watched only wires held
+// just the listener (socket) or nothing (pipe) once the wire hit EOF, and
+// slept its whole 50 ms timeout after the last RESULT of every sweep.
+TEST(ShardCoordinator, SocketSweepReturnsWhenItsWorkerExits) {
+  EXPECT_LT(best_sweep_ms(TransportKind::kSocket), 40.0);
+}
+
+TEST(ShardCoordinator, PipeSweepReturnsWhenItsWorkerExits) {
+  EXPECT_LT(best_sweep_ms(TransportKind::kPipe), 40.0);
 }
 
 TEST(ShardCoordinator, SocketRespawnBudgetExhaustionFailsClosed) {
