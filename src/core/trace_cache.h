@@ -98,8 +98,10 @@ class BinnedTraceCache {
     return base_.offset_of(view);
   }
 
-  /// First index in [lo, hi) whose timestamp is >= t, or hi if none — the
-  /// O(log n) primitive behind the timer kernels.
+  /// First index in [lo, hi) whose timestamp is >= t, or hi if none. No
+  /// kernel calls it since the timer cursors search timestamps() directly.
+  [[deprecated(
+      "use std::lower_bound over timestamps(); removed in the next release")]]
   [[nodiscard]] std::size_t lower_bound_time(std::uint64_t t, std::size_t lo,
                                              std::size_t hi) const;
 

@@ -314,7 +314,8 @@ class Coordinator {
   /// A die/depart drill scripts the first worker to leave after N cells.
   /// Its peers get no lease until it has left, so no peer can drain the
   /// grid before the drill fires, and the cells it still held are pending
-  /// when the coordinator decides whether to respawn.
+  /// when the coordinator decides whether to respawn. The main loop tops
+  /// the peers up right after that decision.
   bool held_back(const Slot& s) const {
     if (s.scripted) return false;
     for (const auto& other : slots_) {
@@ -775,6 +776,14 @@ class Coordinator {
       }
       const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
       if (rc < 0 && errno != EINTR) break;
+      if (rc == 0 && obs::enabled()) {
+        // Slept the whole timeout with a child still unreaped: a sweep
+        // pays it after its last RESULT unless the exit itself wakes us.
+        static obs::Counter& stalls = obs::registry().counter(
+            "netsample_shard_shutdown_poll_timeouts_total",
+            obs::Determinism::kNondeterministic);
+        stalls.increment();
+      }
 
       std::vector<std::size_t> dead_pending;
       for (std::size_t f = 0; f < fds.size(); ++f) {
@@ -935,7 +944,8 @@ StatusOr<ShardReport> Coordinator::run() {
   // Event loop: results, failures, deaths, reconnects, timers.
   while (done_count_ < n_) {
     reap_children();
-    const int timeout_ms = fire_timers();
+    int timeout_ms = fire_timers();
+    const std::uint64_t granted_before = report_.leases_granted;
 
     // If pending work has nowhere to run, respawn or give up.
     while (!pending_.empty() &&
@@ -955,6 +965,13 @@ StatusOr<ShardReport> Coordinator::run() {
       if (!spawned) break;
       refill_all();
     }
+    // Peers held back by a die/depart drill take the reclaimed and pending
+    // cells once the scripted worker has left, whether or not a respawn
+    // ran; with nothing to grant this does nothing.
+    refill_all();
+    // Leases granted since fire_timers() carry expiry deadlines that its
+    // timeout does not cover; go round once more to time them.
+    if (lt_ > 0 && report_.leases_granted != granted_before) timeout_ms = 0;
     if (capacity() == 0 && pending_conns_.empty() && done_count_ < n_) {
       // No workers and no way to make more: quarantine what's left.
       for (std::size_t i = 0; i < n_; ++i) {

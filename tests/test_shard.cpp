@@ -9,8 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +19,7 @@
 
 #include "exper/journal.h"
 #include "exper/parallel.h"
+#include "obs/metrics.h"
 #include "shard/grid.h"
 #include "shard/protocol.h"
 #include "shard/store.h"
@@ -755,33 +755,96 @@ TEST(ShardCoordinator, SocketChaosSigkillReassignsAndStaysBitIdentical) {
   EXPECT_LE(got->workers_died, 1u);  // see ChaosSigkill above for the race
 }
 
-/// Best of five wall times, in ms, of a one-worker sweep of small_spec().
-double best_sweep_ms(TransportKind transport) {
-  double best = 1e9;
+/// How many of five one-worker sweeps of small_spec() had a shutdown poll
+/// sleep its whole timeout with the worker still unreaped. Counted, not
+/// timed: a host too slow or loaded to reap within the timeout stalls the
+/// odd sweep, while a poll that cannot wake on the exit stalls most.
+int stalled_sweeps(TransportKind transport) {
+  // Leaves obs disabled and zeroed, as test_obs.cpp's fixture does.
+  struct ObsOn {
+    ObsOn() { obs::set_enabled(true); }
+    ~ObsOn() {
+      obs::set_enabled(false);
+      obs::registry().reset();
+    }
+  } obs_on;
+  const obs::Counter& stalls = obs::registry().counter(
+      "netsample_shard_shutdown_poll_timeouts_total",
+      obs::Determinism::kNondeterministic);
+  int stalled = 0;
   for (int i = 0; i < 5; ++i) {
     CoordinatorOptions opts;
     opts.workers = 1;
     opts.store_path = fixture().store_path;
     opts.transport = transport;
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t before = stalls.value();
     auto got = run_sharded_sweep(small_spec(), opts);
-    const std::chrono::duration<double, std::milli> took =
-        std::chrono::steady_clock::now() - t0;
     EXPECT_TRUE(got.has_value() && got->all_ok());
-    best = std::min(best, took.count());
+    if (stalls.value() != before) ++stalled;
   }
-  return best;
+  return stalled;
 }
 
 // Shutdown wakes when the worker exits. A poll that watched only wires held
 // just the listener (socket) or nothing (pipe) once the wire hit EOF, and
-// slept its whole 50 ms timeout after the last RESULT of every sweep.
+// slept its whole 50 ms timeout after the last RESULT of a sweep.
 TEST(ShardCoordinator, SocketSweepReturnsWhenItsWorkerExits) {
-  EXPECT_LT(best_sweep_ms(TransportKind::kSocket), 40.0);
+  if (!obs::detail::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (NETSAMPLE_OBS=OFF)";
+  }
+  EXPECT_LE(stalled_sweeps(TransportKind::kSocket), 2);
 }
 
 TEST(ShardCoordinator, PipeSweepReturnsWhenItsWorkerExits) {
-  EXPECT_LT(best_sweep_ms(TransportKind::kPipe), 40.0);
+  if (!obs::detail::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (NETSAMPLE_OBS=OFF)";
+  }
+  EXPECT_LE(stalled_sweeps(TransportKind::kPipe), 2);
+}
+
+// A die/depart drill holds the scripted worker's peers back until it has
+// left. With no respawn budget nothing else tops them up, so the sweep
+// hangs unless the peers are granted the remaining cells after it leaves.
+TEST(ShardCoordinator, DepartureWithoutRespawnsLetsThePeerFinish) {
+  const SweepSpec spec = small_spec();
+  CoordinatorOptions opts;
+  opts.workers = 2;
+  opts.store_path = fixture().store_path;
+  // Three of the four cells, so the peer's HELLO is usually handled (and
+  // held back) before the BYE, and one reclaimed cell is left for it.
+  opts.first_worker_depart_after = 3;
+  opts.max_respawns = 0;
+  auto got = run_sharded_sweep(spec, opts);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  expect_matches_reference(*got, threaded_reference(spec, 1));
+  EXPECT_EQ(got->workers_departed, 1u);
+  EXPECT_EQ(got->workers_spawned, 2u);
+}
+
+TEST(ShardCoordinator, DeathWithoutRespawnsLetsThePeerFinish) {
+  const SweepSpec spec = small_spec();
+  CoordinatorOptions opts;
+  opts.workers = 2;
+  opts.store_path = fixture().store_path;
+  opts.first_worker_die_after = 1;
+  opts.max_respawns = 0;
+  auto got = run_sharded_sweep(spec, opts);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  expect_matches_reference(*got, threaded_reference(spec, 1));
+  EXPECT_EQ(got->workers_died, 1u);
+  EXPECT_EQ(got->workers_spawned, 2u);
+}
+
+TEST(ShardCoordinator, SocketDeathWithoutRespawnsLetsThePeerFinish) {
+  const SweepSpec spec = small_spec();
+  CoordinatorOptions opts = socket_opts();
+  opts.first_worker_die_after = 1;
+  opts.max_respawns = 0;
+  opts.reconnect_window_s = 2.0;
+  auto got = run_sharded_sweep(spec, opts);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  expect_matches_reference(*got, threaded_reference(spec, 1));
+  EXPECT_EQ(got->workers_died, 1u);
 }
 
 TEST(ShardCoordinator, SocketRespawnBudgetExhaustionFailsClosed) {

@@ -130,6 +130,10 @@ TEST(BinnedTraceCache, ContainsAndOffsetOf) {
   EXPECT_FALSE(cache.contains(trace::TraceView{}));
 }
 
+// lower_bound_time is deprecated in v1.2 and goes in v1.3; until then its
+// contract stays pinned here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(BinnedTraceCache, LowerBoundTime) {
   const auto view = shared_trace().view();
   const BinnedTraceCache cache(view);
@@ -141,6 +145,7 @@ TEST(BinnedTraceCache, LowerBoundTime) {
   EXPECT_GT(j, 42u);
   EXPECT_TRUE(j == cache.size() || ts[j] > ts[42]);
 }
+#pragma GCC diagnostic pop
 
 TEST(HistogramWithCounts, BuildsAndValidates) {
   const std::vector<double> edges = {10.0, 20.0};
