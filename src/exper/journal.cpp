@@ -2,16 +2,16 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 #include <utility>
 
 #include "exper/runner.h"
 #include "obs/metrics.h"
+#include "util/fields.h"
 
 namespace netsample::exper {
 
@@ -20,19 +20,48 @@ namespace {
 // ---------------------------------------------------------------------------
 // Line encoding. One JSON object per line; doubles as hexfloat strings so
 // every bit of the metric round-trips (printf "%a" with no precision emits
-// an exact representation, and strtod parses it back bit-for-bit).
+// an exact representation, and fields::parse_hexfloat reads it back bit for
+// bit). A replication is a fixed-order schema over DisparityMetrics that
+// the encoder and the strict decoder both walk. Any mismatch fails the whole
+// line, which open() then counts as dropped — a journal line is either
+// perfectly intact or ignored.
 // ---------------------------------------------------------------------------
 
-void append_double(std::string& out, const char* name, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":\"%a\"", name, v);
-  out += buf;
-}
+struct RepField {
+  const char* name;
+  double core::DisparityMetrics::*real;          // a "%a" string, or
+  std::uint64_t core::DisparityMetrics::*count;  // a base-10 count
+};
+constexpr RepField kRepFields[] = {
+    {"chi2", &core::DisparityMetrics::chi2, nullptr},
+    {"dof", &core::DisparityMetrics::dof, nullptr},
+    {"sig", &core::DisparityMetrics::significance, nullptr},
+    {"cost", &core::DisparityMetrics::cost, nullptr},
+    {"rcost", &core::DisparityMetrics::rcost, nullptr},
+    {"x2", &core::DisparityMetrics::x2, nullptr},
+    {"and", &core::DisparityMetrics::avg_norm_dev, nullptr},
+    {"phi", &core::DisparityMetrics::phi, nullptr},
+    {"sn", nullptr, &core::DisparityMetrics::sample_n},
+    {"pn", nullptr, &core::DisparityMetrics::population_n},
+};
 
-void append_u64(std::string& out, const char* name, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64, name, v);
-  out += buf;
+/// The fields of one replication object, between its braces: ten
+/// comma-separated "name":value items in kRepFields order.
+bool decode_rep_fields(std::string_view list, core::DisparityMetrics* m) {
+  std::size_t i = 0;
+  const bool ok = fields::for_each_item(list, ',', [&](std::string_view item) {
+    if (i == std::size(kRepFields)) return false;
+    const RepField& f = kRepFields[i++];
+    std::string_view value;
+    if (!fields::consume(&item, "\"") || !fields::consume(&item, f.name) ||
+        !fields::consume(&item, "\":")) {
+      return false;
+    }
+    if (f.count != nullptr) return fields::parse_uint(item, &(m->*f.count));
+    return fields::consume(&item, "\"") && fields::cut(&item, '"', &value) &&
+           item.empty() && fields::parse_hexfloat(value, &(m->*f.real));
+  });
+  return ok && i == std::size(kRepFields);
 }
 
 std::string encode_line(const std::string& key,
@@ -40,84 +69,17 @@ std::string encode_line(const std::string& key,
   return "{\"key\":\"" + key + "\",\"reps\":" + encode_replications(reps) + "}";
 }
 
-// Strict sequential parser for the exact shape encode_line() emits. Any
-// mismatch fails the whole line, which open() then counts as dropped — a
-// journal line is either perfectly intact or ignored.
-
-bool take(const char*& p, const char* literal) {
-  const std::size_t n = std::strlen(literal);
-  if (std::strncmp(p, literal, n) != 0) return false;
-  p += n;
-  return true;
-}
-
-bool take_double(const char*& p, const char* name, double* out) {
-  if (!take(p, "\"")) return false;
-  if (!take(p, name)) return false;
-  if (!take(p, "\":\"")) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtod(p, &end);
-  if (end == p) return false;
-  p = end;
-  return take(p, "\"");
-}
-
-bool take_u64(const char*& p, const char* name, std::uint64_t* out) {
-  if (!take(p, "\"")) return false;
-  if (!take(p, name)) return false;
-  if (!take(p, "\":")) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(p, &end, 10);
-  if (end == p || errno == ERANGE) return false;
-  p = end;
-  return true;
-}
-
-bool take_reps(const char*& p, std::vector<core::DisparityMetrics>* reps) {
-  if (!take(p, "[")) return false;
-  reps->clear();
-  while (*p == '{') {
-    core::DisparityMetrics m;
-    ++p;
-    if (!take_double(p, "chi2", &m.chi2)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "dof", &m.dof)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "sig", &m.significance)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "cost", &m.cost)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "rcost", &m.rcost)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "x2", &m.x2)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "and", &m.avg_norm_dev)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_double(p, "phi", &m.phi)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_u64(p, "sn", &m.sample_n)) return false;
-    if (!take(p, ",")) return false;
-    if (!take_u64(p, "pn", &m.population_n)) return false;
-    if (!take(p, "}")) return false;
-    reps->push_back(m);
-    if (*p == ',') ++p;
-  }
-  return take(p, "]");
-}
-
 bool decode_line(const std::string& line, std::string* key,
                  std::vector<core::DisparityMetrics>* reps) {
-  const char* p = line.c_str();
-  if (!take(p, "{\"key\":\"")) return false;
-  const char* key_end = std::strchr(p, '"');
-  if (key_end == nullptr) return false;
-  key->assign(p, key_end);
-  p = key_end;
-  if (!take(p, "\",\"reps\":")) return false;
-  if (!take_reps(p, reps)) return false;
-  return take(p, "}") && *p == '\0';
+  std::string_view p = line;
+  std::string_view key_text;
+  if (!fields::consume(&p, "{\"key\":\"") || !fields::cut(&p, '"', &key_text) ||
+      !fields::consume(&p, ",\"reps\":") || !p.ends_with('}')) {
+    return false;
+  }
+  p.remove_suffix(1);
+  key->assign(key_text);
+  return decode_replications(std::string(p), reps);
 }
 
 Status write_and_sync(std::FILE* f, const std::string& data,
@@ -135,39 +97,43 @@ Status write_and_sync(std::FILE* f, const std::string& data,
 std::string encode_replications(
     const std::vector<core::DisparityMetrics>& reps) {
   std::string out = "[";
-  for (std::size_t i = 0; i < reps.size(); ++i) {
-    const auto& m = reps[i];
-    if (i != 0) out += ',';
+  fields::append_list(out, ',', reps, [&out](const core::DisparityMetrics& m) {
     out += '{';
-    append_double(out, "chi2", m.chi2);
-    out += ',';
-    append_double(out, "dof", m.dof);
-    out += ',';
-    append_double(out, "sig", m.significance);
-    out += ',';
-    append_double(out, "cost", m.cost);
-    out += ',';
-    append_double(out, "rcost", m.rcost);
-    out += ',';
-    append_double(out, "x2", m.x2);
-    out += ',';
-    append_double(out, "and", m.avg_norm_dev);
-    out += ',';
-    append_double(out, "phi", m.phi);
-    out += ',';
-    append_u64(out, "sn", m.sample_n);
-    out += ',';
-    append_u64(out, "pn", m.population_n);
+    fields::append_list(out, ',', kRepFields, [&](const RepField& f) {
+      out += '"';
+      out += f.name;
+      out += "\":";
+      if (f.count != nullptr) {
+        fields::append_int(out, m.*f.count);
+      } else {
+        out += '"';
+        fields::append_hexfloat(out, m.*f.real);
+        out += '"';
+      }
+    });
     out += '}';
-  }
+  });
   out += ']';
   return out;
 }
 
 bool decode_replications(const std::string& text,
                          std::vector<core::DisparityMetrics>* reps) {
-  const char* p = text.c_str();
-  return take_reps(p, reps) && *p == '\0';
+  // "[" then comma-separated {...} objects, then "]", and nothing else.
+  std::string_view p = text;
+  reps->clear();
+  if (!fields::consume(&p, "[")) return false;
+  if (fields::consume(&p, "]")) return p.empty();
+  std::string_view object;
+  do {
+    core::DisparityMetrics m;
+    if (!fields::consume(&p, "{") || !fields::cut(&p, '}', &object) ||
+        !decode_rep_fields(object, &m)) {
+      return false;
+    }
+    reps->push_back(m);
+  } while (fields::consume(&p, ","));
+  return p == "]";
 }
 
 std::string cell_journal_key(const CellConfig& config,

@@ -44,6 +44,10 @@ int CellResult::rejections_at(double alpha) const {
 }
 
 core::SamplerSpec replication_spec(const CellConfig& config, int r) {
+  // Checked before the systematic offset below divides by it.
+  if (config.granularity == 0) {
+    throw std::invalid_argument("sampler spec: granularity must be >= 1");
+  }
   core::SamplerSpec spec;
   spec.method = config.method;
   spec.granularity = config.granularity;

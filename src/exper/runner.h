@@ -96,6 +96,8 @@ struct CellResult {
     std::uint64_t from = 2, std::uint64_t to = 32768);
 
 /// Build the sampler spec for replication r of a cell (exposed for tests).
+/// Throws std::invalid_argument for granularity 0, the same refusal every
+/// kernel gives, so no caller divides by it.
 [[nodiscard]] core::SamplerSpec replication_spec(const CellConfig& config, int r);
 
 }  // namespace netsample::exper

@@ -1,13 +1,12 @@
 #include "faultsim/netfault.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
+#include <string_view>
 #include <thread>
 
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace netsample::faultsim {
@@ -22,81 +21,55 @@ bool exempt_line(const std::string& line) {
 
 enum class LineFault { kNone, kDrop, kDup, kTrunc, kDelay };
 
-std::string fmt_prob(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-bool parse_prob(const std::string& text, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 0.0 ||
-      v > 1.0) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 StatusOr<NetFaultSpec> parse_netfault_spec(const std::string& text) {
+  enum Key { kSeed, kDrop, kDup, kTrunc, kDelay, kDelayMs, kDisconnect,
+             kMaxFaults };
+  static constexpr std::string_view kKeys[] = {
+      "seed",  "drop",     "dup",              "trunc",
+      "delay", "delay-ms", "disconnect-every", "max-faults"};
   NetFaultSpec spec;
+  std::size_t last_key = 0;
+  const auto prob = [](std::string_view v, double* out) {
+    return fields::parse_real(v, out) && *out >= 0.0 && *out <= 1.0;
+  };
+  const auto value = [&](std::size_t key, std::string_view v) {
+    last_key = key;
+    std::uint64_t ms = 0;
+    switch (key) {
+      case kSeed: return fields::parse_uint(v, &spec.seed);
+      case kDrop: return prob(v, &spec.drop);
+      case kDup: return prob(v, &spec.dup);
+      case kTrunc: return prob(v, &spec.trunc);
+      case kDelay: return prob(v, &spec.delay);
+      case kDelayMs:
+        if (!fields::parse_uint(v, &ms, 60000)) return false;
+        spec.delay_ms = static_cast<int>(ms);
+        return true;
+      case kDisconnect: return fields::parse_uint(v, &spec.disconnect_every);
+      default: return fields::parse_uint(v, &spec.max_faults);
+    }
+  };
   const auto bad = [&](const std::string& why) {
     return Status(StatusCode::kInvalidArgument,
                   "netfault: " + why + " in \"" + text + "\"");
   };
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) {
-      if (text.empty()) break;
-      return bad("empty item");
+  using E = fields::KeyValueError;
+  const E err = fields::for_each_key_value(text, ',', kKeys, 0, value);
+  const std::string where(err.where);
+  switch (err.kind) {
+    case E::kEmptyItem: return bad("empty item");
+    case E::kNotKeyValue:
+      return bad("expected key=value, got \"" + where + "\"");
+    case E::kUnknownKey: return bad("unknown key \"" + where + "\"");
+    case E::kDuplicateKey: return bad("duplicate key \"" + where + "\"");
+    case E::kBadValue: {
+      const bool is_prob = last_key >= kDrop && last_key <= kDelay;
+      return bad("bad " + std::string(kKeys[last_key]) +
+                 (is_prob ? " probability" : ""));
     }
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-      return bad("expected key=value, got \"" + item + "\"");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    std::uint64_t u = 0;
-    if (key == "seed") {
-      if (!parse_u64(value, &spec.seed)) return bad("bad seed");
-    } else if (key == "drop") {
-      if (!parse_prob(value, &spec.drop)) return bad("bad drop probability");
-    } else if (key == "dup") {
-      if (!parse_prob(value, &spec.dup)) return bad("bad dup probability");
-    } else if (key == "trunc") {
-      if (!parse_prob(value, &spec.trunc)) return bad("bad trunc probability");
-    } else if (key == "delay") {
-      if (!parse_prob(value, &spec.delay)) return bad("bad delay probability");
-    } else if (key == "delay-ms") {
-      if (!parse_u64(value, &u) || u > 60000) return bad("bad delay-ms");
-      spec.delay_ms = static_cast<int>(u);
-    } else if (key == "disconnect-every") {
-      if (!parse_u64(value, &spec.disconnect_every)) {
-        return bad("bad disconnect-every");
-      }
-    } else if (key == "max-faults") {
-      if (!parse_u64(value, &spec.max_faults)) return bad("bad max-faults");
-    } else {
-      return bad("unknown key \"" + key + "\"");
-    }
-    if (comma == text.size()) break;
+    default: break;  // no key is mandatory
   }
   if (spec.drop + spec.dup + spec.trunc + spec.delay > 1.0) {
     return bad("probabilities sum above 1");
@@ -105,19 +78,28 @@ StatusOr<NetFaultSpec> parse_netfault_spec(const std::string& text) {
 }
 
 std::string encode_netfault_spec(const NetFaultSpec& spec) {
-  std::string out = "seed=" + std::to_string(spec.seed);
-  if (spec.drop > 0) out += ",drop=" + fmt_prob(spec.drop);
-  if (spec.dup > 0) out += ",dup=" + fmt_prob(spec.dup);
-  if (spec.trunc > 0) out += ",trunc=" + fmt_prob(spec.trunc);
+  std::string out = "seed=";
+  fields::append_int(out, spec.seed);
+  const auto prob = [&out](const char* key, double v) {
+    if (v <= 0) return;
+    out += key;
+    fields::append_real(out, v);
+  };
+  prob(",drop=", spec.drop);
+  prob(",dup=", spec.dup);
+  prob(",trunc=", spec.trunc);
   if (spec.delay > 0) {
-    out += ",delay=" + fmt_prob(spec.delay);
-    out += ",delay-ms=" + std::to_string(spec.delay_ms);
+    prob(",delay=", spec.delay);
+    out += ",delay-ms=";
+    fields::append_int(out, spec.delay_ms);
   }
   if (spec.disconnect_every > 0) {
-    out += ",disconnect-every=" + std::to_string(spec.disconnect_every);
+    out += ",disconnect-every=";
+    fields::append_int(out, spec.disconnect_every);
   }
   if (spec.max_faults > 0) {
-    out += ",max-faults=" + std::to_string(spec.max_faults);
+    out += ",max-faults=";
+    fields::append_int(out, spec.max_faults);
   }
   return out;
 }

@@ -52,8 +52,9 @@ struct NetFaultSpec {
 
 /// Parse "seed=7,drop=0.1,dup=0.05,trunc=0.01,delay=0.2,delay-ms=5,
 /// disconnect-every=40,max-faults=3" (any subset, any order). Strict:
-/// unknown keys, malformed numbers, probabilities outside [0, 1], or a
-/// probability sum above 1 are kInvalidArgument.
+/// unknown or repeated keys, malformed numbers (docs/FORMATS.md §4),
+/// probabilities outside [0, 1], or a probability sum above 1 are
+/// kInvalidArgument.
 [[nodiscard]] StatusOr<NetFaultSpec> parse_netfault_spec(
     const std::string& text);
 

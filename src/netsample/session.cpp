@@ -1,31 +1,19 @@
 #include "netsample/session.h"
 
-#include <cerrno>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/targets.h"
 #include "exper/runner.h"
 #include "shard/grid.h"
+#include "util/fields.h"
 #include "util/format.h"
 
 namespace netsample {
 
 namespace {
-
-bool valid_token(const std::string& text, std::size_t max_len) {
-  if (text.empty() || text.size() > max_len) return false;
-  for (const char c : text) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
 
 bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
 
@@ -43,35 +31,6 @@ exper::CellConfig session_cell_config(const SessionSpec& spec) {
   cfg.replications = spec.replications;
   cfg.base_seed = spec.seed;
   return cfg;
-}
-
-std::string fmt_g17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-bool parse_u64_field(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double_field(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno == ERANGE || end != text.c_str() + text.size() ||
-      !std::isfinite(v)) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -116,7 +75,7 @@ Status validate_session_spec(const SessionSpec& spec) {
   }
   if (spec.chunk_packets == 0) return invalid("chunk must be >= 1 packet");
   if (spec.ring_capacity == 0) return invalid("ring must be >= 1 chunk");
-  if (!valid_token(spec.tenant, 64)) {
+  if (!fields::is_token(spec.tenant, 64)) {
     return invalid("tenant must be 1-64 chars of [A-Za-z0-9._-], got \"" +
                    spec.tenant + "\"");
   }
@@ -182,116 +141,89 @@ std::vector<std::vector<std::string>> session_row_cells(
 }
 
 std::string encode_session_spec(const SessionSpec& spec) {
-  std::string out = "v=1";
-  out += ",m=";
+  std::string out = "v=1,m=";
   out += shard::method_token(spec.method);
-  char buf[96];
-  std::snprintf(buf, sizeof buf, ",k=%" PRIu64, spec.granularity);
-  out += buf;
-  std::snprintf(buf, sizeof buf, ",r=%d", spec.replications);
-  out += buf;
-  std::snprintf(buf, sizeof buf, ",s=%" PRIu64, spec.seed);
-  out += buf;
+  out += ",k=";
+  fields::append_int(out, spec.granularity);
+  out += ",r=";
+  fields::append_int(out, spec.replications);
+  out += ",s=";
+  fields::append_int(out, spec.seed);
   out += ",t=" + spec.targets;
-  out += ",w=" + fmt_g17(spec.window_s);
-  out += ",st=" + fmt_g17(spec.stride_s);
-  std::snprintf(buf, sizeof buf, ",pop=%" PRIu64, spec.population);
-  out += buf;
-  out += ",iat=" + fmt_g17(spec.mean_iat_usec);
-  std::snprintf(buf, sizeof buf, ",chunk=%zu,ring=%zu", spec.chunk_packets,
-                spec.ring_capacity);
-  out += buf;
-  out += ",dl=" + fmt_g17(spec.deadline_s);
+  out += ",w=";
+  fields::append_real(out, spec.window_s);
+  out += ",st=";
+  fields::append_real(out, spec.stride_s);
+  out += ",pop=";
+  fields::append_int(out, spec.population);
+  out += ",iat=";
+  fields::append_real(out, spec.mean_iat_usec);
+  out += ",chunk=";
+  fields::append_int(out, spec.chunk_packets);
+  out += ",ring=";
+  fields::append_int(out, spec.ring_capacity);
+  out += ",dl=";
+  fields::append_real(out, spec.deadline_s);
   out += ",tn=" + spec.tenant;
   return out;
 }
 
 bool decode_session_spec(const std::string& text, SessionSpec* spec) {
-  SessionSpec parsed;
   // Every field encode_session_spec writes is required exactly once; the
   // strictness is the point (a truncated OPEN must not half-apply).
-  bool seen[14] = {};
-  enum Field {
-    kV, kM, kK, kR, kS, kT, kW, kSt, kPop, kIat, kChunk, kRing, kDl, kTn
-  };
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', start), text.size());
-    const std::string field = text.substr(start, comma - start);
-    start = comma + 1;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string name = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+  enum Key { kV, kM, kK, kR, kS, kT, kW, kSt, kPop, kIat, kChunk, kRing, kDl,
+             kTn };
+  static constexpr std::string_view kKeys[] = {
+      "v", "m", "k", "r", "s", "t", "w", "st", "pop", "iat", "chunk", "ring",
+      "dl", "tn"};
+  SessionSpec parsed;
+  const auto value = [&parsed](std::size_t key, std::string_view v) {
     std::uint64_t u = 0;
-    double d = 0;
-    Field which;
-    if (name == "v") {
-      if (value != "1") return false;
-      which = kV;
-    } else if (name == "m") {
-      try {
-        parsed.method = shard::parse_method_token(value);
-      } catch (const std::invalid_argument&) {
-        return false;
-      }
-      which = kM;
-    } else if (name == "k") {
-      if (!parse_u64_field(value, &u)) return false;
-      parsed.granularity = u;
-      which = kK;
-    } else if (name == "r") {
-      if (!parse_u64_field(value, &u) || u == 0 || u > 1000000) return false;
-      parsed.replications = static_cast<int>(u);
-      which = kR;
-    } else if (name == "s") {
-      if (!parse_u64_field(value, &u)) return false;
-      parsed.seed = u;
-      which = kS;
-    } else if (name == "t") {
-      if (value != "both" && value != "size" && value != "iat") return false;
-      parsed.targets = value;
-      which = kT;
-    } else if (name == "w") {
-      if (!parse_double_field(value, &d)) return false;
-      parsed.window_s = d;
-      which = kW;
-    } else if (name == "st") {
-      if (!parse_double_field(value, &d)) return false;
-      parsed.stride_s = d;
-      which = kSt;
-    } else if (name == "pop") {
-      if (!parse_u64_field(value, &u)) return false;
-      parsed.population = u;
-      which = kPop;
-    } else if (name == "iat") {
-      if (!parse_double_field(value, &d)) return false;
-      parsed.mean_iat_usec = d;
-      which = kIat;
-    } else if (name == "chunk") {
-      if (!parse_u64_field(value, &u) || u == 0) return false;
-      parsed.chunk_packets = static_cast<std::size_t>(u);
-      which = kChunk;
-    } else if (name == "ring") {
-      if (!parse_u64_field(value, &u) || u == 0) return false;
-      parsed.ring_capacity = static_cast<std::size_t>(u);
-      which = kRing;
-    } else if (name == "dl") {
-      if (!parse_double_field(value, &d)) return false;
-      parsed.deadline_s = d;
-      which = kDl;
-    } else if (name == "tn") {
-      if (!valid_token(value, 64)) return false;
-      parsed.tenant = value;
-      which = kTn;
-    } else {
-      return false;
+    switch (key) {
+      case kV:
+        return v == "1";
+      case kM:
+        try {
+          parsed.method = shard::parse_method_token(std::string(v));
+        } catch (const std::invalid_argument&) {
+          return false;
+        }
+        return true;
+      case kK:
+        return fields::parse_uint(v, &parsed.granularity);
+      case kR:
+        if (!fields::parse_uint(v, &u, 1000000) || u == 0) return false;
+        parsed.replications = static_cast<int>(u);
+        return true;
+      case kS:
+        return fields::parse_uint(v, &parsed.seed);
+      case kT:
+        parsed.targets = v;
+        return v == "both" || v == "size" || v == "iat";
+      case kW:
+        return fields::parse_real(v, &parsed.window_s);
+      case kSt:
+        return fields::parse_real(v, &parsed.stride_s);
+      case kPop:
+        return fields::parse_uint(v, &parsed.population);
+      case kIat:
+        return fields::parse_real(v, &parsed.mean_iat_usec);
+      case kChunk:
+      case kRing:
+        if (!fields::parse_uint(v, &u) || u == 0) return false;
+        (key == kChunk ? parsed.chunk_packets : parsed.ring_capacity) =
+            static_cast<std::size_t>(u);
+        return true;
+      case kDl:
+        return fields::parse_real(v, &parsed.deadline_s);
+      default:  // kTn
+        parsed.tenant = v;
+        return fields::is_token(v, 64);
     }
-    if (seen[which]) return false;
-    seen[which] = true;
-  }
-  for (const bool s : seen) {
-    if (!s) return false;
+  };
+  if (!fields::for_each_key_value(text, ',', kKeys, (1u << 14) - 1, value)
+           .ok()) {
+    return false;
   }
   *spec = std::move(parsed);
   return true;

@@ -1,86 +1,53 @@
 #include "serve/protocol.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <string_view>
+
+#include "util/fields.h"
 
 namespace netsample::serve {
 
-namespace {
-
-/// Split off the next space-delimited token starting at *pos; empty when
-/// exhausted. Consecutive spaces are a framing error surfaced as an empty
-/// token by the callers' "missing operand" checks.
-std::string next_token(const std::string& line, std::size_t* pos) {
-  if (*pos >= line.size()) return {};
-  const std::size_t space = std::min(line.find(' ', *pos), line.size());
-  std::string token = line.substr(*pos, space - *pos);
-  *pos = space + 1;
-  return token;
-}
-
-bool parse_u64(const char* begin, const char* end, std::uint64_t* out) {
-  if (begin == end) return false;
-  char* parse_end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &parse_end, 10);
-  if (errno != 0 || parse_end != end) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
 bool valid_session_id(const std::string& id) {
-  if (id.empty() || id.size() > kMaxSessionIdLen) return false;
-  for (const char c : id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
+  return fields::is_token(id, kMaxSessionIdLen);
 }
 
 bool parse_client_line(const std::string& line, ClientMessage* msg,
                        std::string* error) {
-  std::size_t pos = 0;
-  const std::string verb = next_token(line, &pos);
+  // Consecutive spaces are a framing error surfaced as an empty token by
+  // the "bad session id" / "missing payload" checks.
+  std::string_view rest = line;
+  std::string_view verb;
+  const bool operands = fields::cut(&rest, ' ', &verb);
   const auto fail = [error](const std::string& why) {
     *error = why;
     return false;
   };
-  if (verb == "STATS") {
-    if (pos <= line.size()) return fail("STATS takes no operands");
-    msg->command = ClientCommand::kStats;
-    msg->session_id.clear();
-    msg->payload.clear();
-    return true;
-  }
-  if (verb == "BYE") {
-    if (pos <= line.size()) return fail("BYE takes no operands");
-    msg->command = ClientCommand::kBye;
+  if (verb == "STATS" || verb == "BYE") {
+    if (operands) return fail(std::string(verb) + " takes no operands");
+    msg->command =
+        verb == "STATS" ? ClientCommand::kStats : ClientCommand::kBye;
     msg->session_id.clear();
     msg->payload.clear();
     return true;
   }
   if (verb != "OPEN" && verb != "FEED" && verb != "CLOSE") {
-    return fail("unknown verb \"" + verb + "\"");
+    return fail("unknown verb \"" + std::string(verb) + "\"");
   }
-  const std::string id = next_token(line, &pos);
-  if (!valid_session_id(id)) return fail(verb + ": bad session id");
+  std::string_view id;
+  const bool payload = fields::cut(&rest, ' ', &id);
+  if (!fields::is_token(id, kMaxSessionIdLen)) {
+    return fail(std::string(verb) + ": bad session id");
+  }
   msg->session_id = id;
   if (verb == "CLOSE") {
-    if (pos <= line.size()) return fail("CLOSE takes only a session id");
+    if (payload) return fail("CLOSE takes only a session id");
     msg->command = ClientCommand::kClose;
     msg->payload.clear();
     return true;
   }
   // OPEN and FEED carry the rest of the line as payload.
-  if (pos > line.size()) return fail(verb + ": missing payload");
+  if (rest.empty()) return fail(std::string(verb) + ": missing payload");
   msg->command = verb == "OPEN" ? ClientCommand::kOpen : ClientCommand::kFeed;
-  msg->payload = line.substr(pos);
-  if (msg->payload.empty()) return fail(verb + ": missing payload");
+  msg->payload = rest;
   return true;
 }
 
@@ -88,42 +55,39 @@ bool parse_feed_payload(const std::string& payload, MicroTime* last_ts,
                         FeedChunk* out) {
   out->packets.clear();
   out->clamped = 0;
-  const char* const base = payload.c_str();
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t space = std::min(payload.find(' ', pos), payload.size());
-    const std::size_t colon = payload.find(':', pos);
-    if (colon == std::string::npos || colon >= space) return false;
-    std::uint64_t ts = 0;
-    std::uint64_t len = 0;
-    if (!parse_u64(base + pos, base + colon, &ts)) return false;
-    if (!parse_u64(base + colon + 1, base + space, &len)) return false;
-    if (len == 0 || len > 65535) return false;
-    if (ts < last_ts->usec) {
-      ts = last_ts->usec;  // PcapSource's running-max salvage rule
-      ++out->clamped;
-    }
-    last_ts->usec = ts;
-    trace::PacketRecord record;
-    record.timestamp = MicroTime{ts};
-    record.size = static_cast<std::uint16_t>(len);
-    out->packets.push_back(record);
-    pos = space + 1;
-  }
-  return !out->packets.empty();
+  const bool ok =
+      fields::for_each_item(payload, ' ', [&](std::string_view token) {
+        std::string_view ts_text;
+        std::uint64_t ts = 0;
+        std::uint64_t len = 0;
+        if (!fields::cut(&token, ':', &ts_text) ||
+            !fields::parse_uint(ts_text, &ts) ||
+            !fields::parse_uint(token, &len, 65535) || len == 0) {
+          return false;
+        }
+        if (ts < last_ts->usec) {
+          ts = last_ts->usec;  // PcapSource's running-max salvage rule
+          ++out->clamped;
+        }
+        last_ts->usec = ts;
+        trace::PacketRecord record;
+        record.timestamp = MicroTime{ts};
+        record.size = static_cast<std::uint16_t>(len);
+        out->packets.push_back(record);
+        return true;
+      });
+  return ok && !out->packets.empty();
 }
 
 std::string encode_feed_payload(
     std::span<const trace::PacketRecord> packets) {
   std::string out;
   out.reserve(packets.size() * 12);
-  char buf[48];
-  for (const auto& p : packets) {
-    std::snprintf(buf, sizeof buf, "%" PRIu64 ":%u", p.timestamp.usec,
-                  static_cast<unsigned>(p.size));
-    if (!out.empty()) out += ' ';
-    out += buf;
-  }
+  fields::append_list(out, ' ', packets, [&out](const trace::PacketRecord& p) {
+    fields::append_int(out, p.timestamp.usec);
+    out += ':';
+    fields::append_int(out, p.size);
+  });
   return out;
 }
 

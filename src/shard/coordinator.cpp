@@ -100,8 +100,9 @@ struct Slot {
   bool hello_counted{false};
   bool suspended{false};  // a lease expired; no new grants until it speaks
   Clock::time_point probation_deadline{};
-  std::vector<std::uint64_t> outstanding;
-  std::map<std::uint64_t, Clock::time_point> lease_sent;
+  /// The lease ledger: every cell this worker holds, with the time its
+  /// LEASE went out, in ascending cell order.
+  std::map<std::uint64_t, Clock::time_point> leases;
   Clock::time_point last_heard_{};
   Clock::time_point last_ping_{};
 };
@@ -328,7 +329,7 @@ class Coordinator {
   void grant(Slot& s) {
     if (held_back(s)) return;
     while (connected(s) && !s.suspended &&
-           s.outstanding.size() < kLeaseDepth) {
+           s.leases.size() < kLeaseDepth) {
       // Skip queue entries a late duplicate already completed.
       while (!pending_.empty() && state_[pending_.front()] != kPending) {
         pending_.pop_front();
@@ -337,8 +338,7 @@ class Coordinator {
       const std::uint64_t idx = pending_.front();
       pending_.pop_front();
       state_[idx] = kLeased;
-      s.outstanding.push_back(idx);
-      s.lease_sent[idx] = Clock::now();
+      s.leases[idx] = Clock::now();
       ++report_.leases_granted;
       Message lease;
       lease.type = MessageType::kLease;
@@ -353,20 +353,25 @@ class Coordinator {
     }
   }
 
-  /// Put a slot's leases back at the FRONT of the queue in ascending
-  /// order, so recovery recomputes the earliest missing cells first and
-  /// the journal cursor unblocks soonest.
-  void reclaim_leases(Slot& s) {
-    std::sort(s.outstanding.begin(), s.outstanding.end());
-    for (auto it = s.outstanding.rbegin(); it != s.outstanding.rend(); ++it) {
-      if (state_[*it] == kLeased) {
-        state_[*it] = kPending;
-        pending_.push_front(*it);
+  /// Put a slot's leases sent at or before `sent_by` (all of them by
+  /// default) back at the FRONT of the queue in ascending order, so
+  /// recovery recomputes the earliest missing cells first and the journal
+  /// cursor unblocks soonest. Returns how many went back.
+  std::size_t reclaim_leases(
+      Slot& s, Clock::time_point sent_by = Clock::time_point::max()) {
+    std::size_t reclaimed = 0;
+    for (auto it = s.leases.rbegin(); it != s.leases.rend(); ++it) {
+      if (it->second <= sent_by && state_[it->first] == kLeased) {
+        state_[it->first] = kPending;
+        pending_.push_front(it->first);
         ++report_.reassignments;
+        ++reclaimed;
       }
     }
-    s.outstanding.clear();
-    s.lease_sent.clear();
+    std::erase_if(s.leases, [sent_by](const auto& lease) {
+      return lease.second <= sent_by;
+    });
+    return reclaimed;
   }
 
   /// The wire died. Pipes cannot come back — that is a death. A socket
@@ -449,7 +454,7 @@ class Coordinator {
       return;
     }
     for (auto& s : slots_) {
-      if (connected(s) && s.proc_alive && !s.outstanding.empty()) {
+      if (connected(s) && s.proc_alive && !s.leases.empty()) {
         ::kill(s.pid, SIGKILL);
         ++report_.workers_killed;
         return;
@@ -496,19 +501,16 @@ class Coordinator {
     }
     // Clear the sender's bookkeeping BEFORE the duplicate check, so a
     // duplicate (reconnect replay, reclaimed lease finishing twice) can
-    // never pin a stale entry in `outstanding` and starve the worker.
-    const auto sent = s.lease_sent.find(idx);
-    if (obs::enabled() && sent != s.lease_sent.end()) {
+    // never pin a stale lease in the ledger and starve the worker.
+    const auto sent = s.leases.find(idx);
+    if (obs::enabled() && sent != s.leases.end()) {
       static obs::HistogramMetric& lease_hist = obs::registry().histogram(
           "netsample_shard_lease_seconds", obs::duration_bin_edges(),
           obs::Determinism::kNondeterministic);
       lease_hist.observe(
           std::chrono::duration<double>(Clock::now() - sent->second).count());
     }
-    if (sent != s.lease_sent.end()) s.lease_sent.erase(sent);
-    s.outstanding.erase(
-        std::remove(s.outstanding.begin(), s.outstanding.end(), idx),
-        s.outstanding.end());
+    if (sent != s.leases.end()) s.leases.erase(sent);
     if (state_[idx] == kDone) {
       grant(s);
       return true;  // duplicate: discarded, never re-committed
@@ -540,11 +542,7 @@ class Coordinator {
     // will be discarded as a duplicate.
     for (auto& other : slots_) {
       if (&other == &s) continue;
-      other.lease_sent.erase(idx);
-      other.outstanding.erase(
-          std::remove(other.outstanding.begin(), other.outstanding.end(),
-                      idx),
-          other.outstanding.end());
+      other.leases.erase(idx);
     }
     advance_journal();
     maybe_chaos_kill();
@@ -641,7 +639,7 @@ class Coordinator {
           next_ping = t + secs(hb_);
         }
         consider(next_ping);
-        if (s.outstanding.empty()) {
+        if (s.leases.empty()) {
           // Idle liveness: a worker with nothing to compute answers PINGs
           // from its blocking read; 4 periods of silence is a half-open
           // wire. Busy workers are governed by the lease timeout instead.
@@ -655,24 +653,9 @@ class Coordinator {
       }
 
       if (lt_ > 0) {
-        std::vector<std::uint64_t> expired;
-        for (const auto& [idx, sent] : s.lease_sent) {
-          if (state_[idx] == kLeased && t >= sent + secs(lt_)) {
-            expired.push_back(idx);
-          }
-        }
-        if (!expired.empty()) {
-          std::sort(expired.begin(), expired.end());
-          for (auto it = expired.rbegin(); it != expired.rend(); ++it) {
-            state_[*it] = kPending;
-            pending_.push_front(*it);
-            ++report_.reassignments;
-            ++report_.leases_expired;
-            s.lease_sent.erase(*it);
-            s.outstanding.erase(std::remove(s.outstanding.begin(),
-                                            s.outstanding.end(), *it),
-                                s.outstanding.end());
-          }
+        const std::size_t expired = reclaim_leases(s, t - secs(lt_));
+        if (expired > 0) {
+          report_.leases_expired += expired;
           // Stalled-but-connected: reclaimed, suspended from new grants,
           // and on a probation clock — still silent one timeout later
           // means the worker is hopeless, not slow.
@@ -680,7 +663,7 @@ class Coordinator {
           s.probation_deadline = t + secs(lt_);
           refill = true;
         }
-        for (const auto& [idx, sent] : s.lease_sent) {
+        for (const auto& [idx, sent] : s.leases) {
           (void)idx;
           consider(sent + secs(lt_));
         }

@@ -1,15 +1,12 @@
 #include "shard/grid.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "exper/journal.h"
 #include "exper/runner.h"
+#include "util/fields.h"
 
 namespace netsample::shard {
 
@@ -57,149 +54,104 @@ core::Target parse_target_token(const std::string& token) {
                               "' (expected size|iat)");
 }
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
 std::string encode_sweep_spec(const SweepSpec& spec) {
   std::string out = "v=1;seed=";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, spec.base_seed);
-  out += buf;
-  std::snprintf(buf, sizeof buf, ";reps=%d;targets=", spec.replications);
-  out += buf;
-  for (std::size_t i = 0; i < spec.targets.size(); ++i) {
-    if (i != 0) out += ',';
-    out += target_token(spec.targets[i]);
-  }
+  fields::append_int(out, spec.base_seed);
+  out += ";reps=";
+  fields::append_int(out, spec.replications);
+  out += ";targets=";
+  fields::append_list(out, ',', spec.targets,
+                      [&out](core::Target t) { out += target_token(t); });
   out += ";methods=";
-  for (std::size_t i = 0; i < spec.methods.size(); ++i) {
-    if (i != 0) out += ',';
-    out += method_token(spec.methods[i]);
-  }
+  fields::append_list(out, ',', spec.methods,
+                      [&out](core::Method m) { out += method_token(m); });
   out += ";k=";
-  for (std::size_t i = 0; i < spec.granularities.size(); ++i) {
-    if (i != 0) out += ',';
-    std::snprintf(buf, sizeof buf, "%" PRIu64, spec.granularities[i]);
-    out += buf;
-  }
+  fields::append_list(out, ',', spec.granularities,
+                      [&out](std::uint64_t k) { fields::append_int(out, k); });
   if (spec.workload == Workload::kFlow) {
     // Flow fields only appear for flow specs, so packet-sweep encodings are
     // byte-identical to what older coordinators/workers produced.
     out += ";workload=flow;est=";
-    for (std::size_t i = 0; i < spec.estimators.size(); ++i) {
-      if (i != 0) out += ',';
-      out += flow::estimator_token(spec.estimators[i]);
-    }
-    std::snprintf(buf, sizeof buf, ";ftimeout=%" PRIu64,
-                  spec.flow.idle_timeout_usec);
-    out += buf;
-    std::snprintf(buf, sizeof buf, ";fcap=%" PRIu64, spec.flow.capacity);
-    out += buf;
-    std::snprintf(buf, sizeof buf, ";emiters=%d", spec.flow.em_iters);
-    out += buf;
+    fields::append_list(out, ',', spec.estimators, [&out](flow::Estimator e) {
+      out += flow::estimator_token(e);
+    });
+    out += ";ftimeout=";
+    fields::append_int(out, spec.flow.idle_timeout_usec);
+    out += ";fcap=";
+    fields::append_int(out, spec.flow.capacity);
+    out += ";emiters=";
+    fields::append_int(out, spec.flow.em_iters);
   }
   return out;
 }
 
 bool decode_sweep_spec(const std::string& text, SweepSpec* spec) {
+  enum Key { kV, kSeed, kReps, kTargets, kMethods, kK,  // required
+             kWorkload, kEst, kFtimeout, kFcap, kEmiters };
+  static constexpr std::string_view kKeys[] = {
+      "v",        "seed", "reps",     "targets", "methods", "k",
+      "workload", "est",  "ftimeout", "fcap",    "emiters"};
   SweepSpec parsed;
-  bool saw_v = false, saw_seed = false, saw_reps = false;
-  bool saw_targets = false, saw_methods = false, saw_k = false;
-  bool saw_flow_field = false;
-  try {
-    for (const std::string& field : split(text, ';')) {
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos) return false;
-      const std::string name = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      std::uint64_t u = 0;
-      if (name == "v") {
-        if (value != "1") return false;
-        saw_v = true;
-      } else if (name == "seed") {
-        if (!parse_u64(value, &u)) return false;
-        parsed.base_seed = u;
-        saw_seed = true;
-      } else if (name == "reps") {
-        if (!parse_u64(value, &u) || u == 0 || u > 1000000) return false;
+  bool flow_field = false;
+  // A comma list of tokens; the token parsers throw on an unknown one.
+  const auto tokens = [](std::string_view list, auto parse, auto* out) {
+    return fields::for_each_item(list, ',', [&](std::string_view t) {
+      out->push_back(parse(std::string(t)));
+      return true;
+    });
+  };
+  const auto value = [&](std::size_t key, std::string_view v) {
+    std::uint64_t u = 0;
+    switch (key) {
+      case kV:
+        return v == "1";
+      case kSeed:
+        return fields::parse_uint(v, &parsed.base_seed);
+      case kReps:
+        if (!fields::parse_uint(v, &u, 1000000) || u == 0) return false;
         parsed.replications = static_cast<int>(u);
-        saw_reps = true;
-      } else if (name == "targets") {
-        for (const std::string& t : split(value, ',')) {
-          parsed.targets.push_back(parse_target_token(t));
-        }
-        saw_targets = true;
-      } else if (name == "methods") {
-        for (const std::string& m : split(value, ',')) {
-          parsed.methods.push_back(parse_method_token(m));
-        }
-        saw_methods = true;
-      } else if (name == "k") {
-        for (const std::string& g : split(value, ',')) {
-          if (!parse_u64(g, &u) || u == 0) return false;
+        return true;
+      case kTargets:
+        return tokens(v, parse_target_token, &parsed.targets);
+      case kMethods:
+        return tokens(v, parse_method_token, &parsed.methods);
+      case kK:
+        return fields::for_each_item(v, ',', [&](std::string_view g) {
+          if (!fields::parse_uint(g, &u) || u == 0) return false;
           parsed.granularities.push_back(u);
-        }
-        saw_k = true;
-      } else if (name == "workload") {
-        if (value != "flow") return false;  // kPacket never emits the field
-        parsed.workload = Workload::kFlow;
-      } else if (name == "est") {
-        for (const std::string& e : split(value, ',')) {
-          parsed.estimators.push_back(flow::parse_estimator_token(e));
-        }
-      } else if (name == "ftimeout") {
-        if (!parse_u64(value, &u) || u == 0) return false;
-        parsed.flow.idle_timeout_usec = u;
-        saw_flow_field = true;
-      } else if (name == "fcap") {
-        if (!parse_u64(value, &u)) return false;
-        parsed.flow.capacity = u;
-        saw_flow_field = true;
-      } else if (name == "emiters") {
-        if (!parse_u64(value, &u) || u == 0 || u > 1000000) return false;
+          return true;
+        });
+      case kWorkload:
+        parsed.workload = Workload::kFlow;  // kPacket never emits the field
+        return v == "flow";
+      case kEst:
+        return tokens(v, flow::parse_estimator_token, &parsed.estimators);
+      case kFtimeout:
+        flow_field = true;
+        return fields::parse_uint(v, &parsed.flow.idle_timeout_usec) &&
+               parsed.flow.idle_timeout_usec != 0;
+      case kFcap:
+        flow_field = true;
+        return fields::parse_uint(v, &parsed.flow.capacity);
+      default:  // kEmiters
+        flow_field = true;
+        if (!fields::parse_uint(v, &u, 1000000) || u == 0) return false;
         parsed.flow.em_iters = static_cast<int>(u);
-        saw_flow_field = true;
-      } else {
-        return false;
-      }
+        return true;
+    }
+  };
+  try {
+    if (!fields::for_each_key_value(text, ';', kKeys, 0b111111, value).ok()) {
+      return false;
     }
   } catch (const std::invalid_argument&) {
-    return false;
-  }
-  if (!(saw_v && saw_seed && saw_reps && saw_targets && saw_methods && saw_k)) {
-    return false;
+    return false;  // an unknown target, method or estimator token
   }
   if (parsed.workload == Workload::kFlow && parsed.estimators.empty()) {
     return false;
   }
   if (parsed.workload == Workload::kPacket &&
-      (!parsed.estimators.empty() || saw_flow_field)) {
+      (!parsed.estimators.empty() || flow_field)) {
     return false;  // flow-only fields without workload=flow are malformed
   }
   if (parsed.cell_count() == 0) return false;

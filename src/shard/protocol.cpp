@@ -1,137 +1,111 @@
 #include "shard/protocol.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <string_view>
+
+#include "util/fields.h"
 
 namespace netsample::shard {
 
 namespace {
 
-std::string u64_str(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
+using fields::consume;
 
-/// Consume "<u64>" at p (advancing past it); false unless at least one
-/// digit was parsed.
-bool eat_u64(const char*& p, std::uint64_t* out) {
-  if (*p < '0' || *p > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(p, &end, 10);
-  if (errno != 0) return false;
-  p = end;
-  *out = v;
-  return true;
-}
-
-bool eat(const char*& p, const char* literal) {
-  const char* q = literal;
-  while (*q != '\0') {
-    if (*p != *q) return false;
-    ++p;
-    ++q;
-  }
-  return true;
-}
-
-bool eat_field(const char*& p, const char* name, std::uint64_t* out) {
-  return eat(p, name) && eat(p, "=") && eat_u64(p, out);
+/// "<name><u64>" up to the next space (or the end of the line when `last`).
+bool take_field(std::string_view* p, std::string_view name, std::uint64_t* out,
+                bool last, std::uint64_t max = fields::kMaxUint) {
+  std::string_view value;
+  return consume(p, name) && fields::cut(p, ' ', &value) != last &&
+         fields::parse_uint(value, out, max);
 }
 
 }  // namespace
 
 std::string format_message(const Message& m) {
+  std::string out;
+  const auto put = [&out](std::string_view text, std::uint64_t v) {
+    out += text;
+    fields::append_int(out, v);
+  };
   switch (m.type) {
-    case MessageType::kSpec:
-      return "SPEC " + m.text;
-    case MessageType::kLease:
-      return "LEASE " + u64_str(m.index);
-    case MessageType::kStop:
-      return "STOP";
+    case MessageType::kSpec: return "SPEC " + m.text;
+    case MessageType::kStop: return "STOP";
+    case MessageType::kLease: put("LEASE ", m.index); break;
     case MessageType::kHello:
-      return "HELLO pid=" + u64_str(m.pid) + " packets=" + u64_str(m.packets) +
-             " builds=" + u64_str(m.cache_builds) +
-             " maps=" + u64_str(m.cache_maps);
-    case MessageType::kResult:
-      return "RESULT " + u64_str(m.index) + " " + m.text;
+      put("HELLO pid=", m.pid);
+      put(" packets=", m.packets);
+      put(" builds=", m.cache_builds);
+      put(" maps=", m.cache_maps);
+      break;
+    case MessageType::kResult: put("RESULT ", m.index); break;
     case MessageType::kFail:
-      return "FAIL " + u64_str(m.index) + " " +
-             u64_str(static_cast<std::uint64_t>(m.code)) + " " + m.text;
-    case MessageType::kBye:
-      return "BYE cells=" + u64_str(m.cells);
-    case MessageType::kPing:
-      return "PING " + u64_str(m.index);
-    case MessageType::kPong:
-      return "PONG " + u64_str(m.index);
+      put("FAIL ", m.index);
+      put(" ", static_cast<std::uint64_t>(m.code));
+      break;
+    case MessageType::kBye: put("BYE cells=", m.cells); break;
+    case MessageType::kPing: put("PING ", m.index); break;
+    case MessageType::kPong: put("PONG ", m.index); break;
   }
-  return "";
+  // RESULT and FAIL end in free text after one more space.
+  if (m.type == MessageType::kResult || m.type == MessageType::kFail) {
+    out += ' ';
+    out += m.text;
+  }
+  return out;
 }
 
 bool parse_message(const std::string& line, Message* m) {
-  const char* p = line.c_str();
+  std::string_view p = line;
   *m = Message{};
-  if (eat(p, "SPEC ")) {
+  if (consume(&p, "SPEC ")) {
     m->type = MessageType::kSpec;
     m->text = p;
-    return !m->text.empty();
+    return !p.empty();
   }
-  p = line.c_str();
-  if (eat(p, "LEASE ")) {
+  if (consume(&p, "LEASE ")) {
     m->type = MessageType::kLease;
-    return eat_u64(p, &m->index) && *p == '\0';
+    return fields::parse_uint(p, &m->index);
   }
-  p = line.c_str();
   if (line == "STOP") {
     m->type = MessageType::kStop;
     return true;
   }
-  if (eat(p, "HELLO ")) {
+  if (consume(&p, "HELLO ")) {
     m->type = MessageType::kHello;
-    return eat_field(p, "pid", &m->pid) && eat(p, " ") &&
-           eat_field(p, "packets", &m->packets) && eat(p, " ") &&
-           eat_field(p, "builds", &m->cache_builds) && eat(p, " ") &&
-           eat_field(p, "maps", &m->cache_maps) && *p == '\0';
+    return take_field(&p, "pid=", &m->pid, false) &&
+           take_field(&p, "packets=", &m->packets, false) &&
+           take_field(&p, "builds=", &m->cache_builds, false) &&
+           take_field(&p, "maps=", &m->cache_maps, true);
   }
-  p = line.c_str();
-  if (eat(p, "RESULT ")) {
+  if (consume(&p, "RESULT ")) {
     m->type = MessageType::kResult;
-    if (!eat_u64(p, &m->index) || !eat(p, " ")) return false;
+    if (!take_field(&p, "", &m->index, false)) return false;
     m->text = p;
-    return !m->text.empty();
+    return !p.empty();
   }
-  p = line.c_str();
-  if (eat(p, "FAIL ")) {
+  if (consume(&p, "FAIL ")) {
     m->type = MessageType::kFail;
     std::uint64_t code = 0;
-    if (!eat_u64(p, &m->index) || !eat(p, " ") || !eat_u64(p, &code) ||
-        !eat(p, " ")) {
-      return false;
-    }
-    if (code > static_cast<std::uint64_t>(StatusCode::kDeadlineExceeded)) {
+    constexpr auto kMaxCode =
+        static_cast<std::uint64_t>(StatusCode::kDeadlineExceeded);
+    if (!take_field(&p, "", &m->index, false) ||
+        !take_field(&p, "", &code, false, kMaxCode)) {
       return false;
     }
     m->code = static_cast<StatusCode>(code);
     m->text = p;  // may legitimately be empty
     return true;
   }
-  p = line.c_str();
-  if (eat(p, "BYE ")) {
+  if (consume(&p, "BYE ")) {
     m->type = MessageType::kBye;
-    return eat_field(p, "cells", &m->cells) && *p == '\0';
+    return take_field(&p, "cells=", &m->cells, true);
   }
-  p = line.c_str();
-  if (eat(p, "PING ")) {
+  if (consume(&p, "PING ")) {
     m->type = MessageType::kPing;
-    return eat_u64(p, &m->index) && *p == '\0';
+    return fields::parse_uint(p, &m->index);
   }
-  p = line.c_str();
-  if (eat(p, "PONG ")) {
+  if (consume(&p, "PONG ")) {
     m->type = MessageType::kPong;
-    return eat_u64(p, &m->index) && *p == '\0';
+    return fields::parse_uint(p, &m->index);
   }
   return false;
 }

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <thread>
 
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace netsample::shard {
@@ -245,11 +246,8 @@ StatusOr<std::pair<std::string, int>> parse_host_port(
   }
   const std::string host = text.substr(0, colon);
   const std::string port_text = text.substr(colon + 1);
-  errno = 0;
-  char* end = nullptr;
-  const long port = std::strtol(port_text.c_str(), &end, 10);
-  if (end == port_text.c_str() || *end != '\0' || errno == ERANGE ||
-      port < 0 || port > 65535) {
+  std::uint64_t port = 0;
+  if (!fields::parse_uint(port_text, &port, 65535)) {
     return Status(StatusCode::kInvalidArgument,
                   "expected a port in [0, 65535], got \"" + port_text + "\"");
   }

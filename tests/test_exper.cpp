@@ -62,6 +62,34 @@ TEST_F(ExperTest, RunCellValidation) {
   EXPECT_THROW((void)run_cell(cfg), std::invalid_argument);
 }
 
+// k = 0 is refused with one message by every entry point, before anything
+// divides by it: replication_spec computes rep % k for systematic/count.
+TEST_F(ExperTest, ZeroGranularityIsRefusedByEveryEntryPoint) {
+  const auto expect_refused = [](const auto& call) {
+    try {
+      (void)call();
+      ADD_FAILURE() << "granularity 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "sampler spec: granularity must be >= 1");
+    }
+  };
+  for (const auto method :
+       {core::Method::kSystematicCount, core::Method::kStratifiedCount,
+        core::Method::kSimpleRandom, core::Method::kSystematicTimer,
+        core::Method::kStratifiedTimer}) {
+    SCOPED_TRACE(core::method_name(method));
+    CellConfig cfg;
+    cfg.method = method;
+    cfg.granularity = 0;
+    cfg.interval = ex_->interval(8.0);
+    cfg.mean_interarrival_usec = ex_->mean_interarrival_usec();
+    cfg.replications = 3;
+    expect_refused([&] { return replication_spec(cfg, 1); });
+    expect_refused([&] { return run_cell(cfg); });
+    expect_refused([&] { return run_cell_reference(cfg); });
+  }
+}
+
 TEST_F(ExperTest, ReplicationSpecsVarySystematicOffsets) {
   CellConfig cfg;
   cfg.method = core::Method::kSystematicCount;

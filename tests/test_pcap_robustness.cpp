@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "faultsim/faultsim.h"
+#include "mutation.h"
 #include "net/ipv4.h"
 #include "pcap/framer.h"
 #include "pcap/pcap.h"
@@ -643,44 +644,21 @@ TEST_P(PcapMutationTest, MutantsAgreeOnEveryPath) {
   for (int m = 0; m < 250; ++m) {
     const std::size_t b = rng.uniform_below(bases.size());
     auto bytes = bases[b];
-    const int edits = 1 + static_cast<int>(rng.uniform_below(3));
-    for (int e = 0; e < edits && !bytes.empty(); ++e) {
-      const std::size_t pos = rng.uniform_below(bytes.size());
-      switch (rng.uniform_below(4)) {
-        case 0:  // flip
-          bytes[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform_below(255));
-          break;
-        case 1: {  // insert
-          const std::size_t n = 1 + rng.uniform_below(32);
-          std::vector<std::uint8_t> junk(n);
-          for (auto& x : junk) x = static_cast<std::uint8_t>(rng.uniform_below(256));
-          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                       junk.begin(), junk.end());
-          break;
-        }
-        case 2: {  // delete
-          const std::size_t n =
-              std::min<std::size_t>(1 + rng.uniform_below(32), bytes.size() - pos);
-          bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                      bytes.begin() + static_cast<std::ptrdiff_t>(pos + n));
-          break;
-        }
-        default: {  // header-field stomp, in either byte order
-          const std::size_t at = fields[b][rng.uniform_below(fields[b].size())];
-          if (at + 4 > bytes.size()) break;
-          const std::uint32_t v =
-              rng.bernoulli(0.25)
-                  ? static_cast<std::uint32_t>(rng.uniform_below(1ull << 32))
-                  : stomps[rng.uniform_below(std::size(stomps))];
-          if (rng.bernoulli(0.5)) {
-            store_le32(bytes.data() + at, v);
-          } else {
-            store_be32(bytes.data() + at, v);
-          }
-          break;
-        }
+    // Header-field stomp, in either byte order.
+    mutation::mutate(rng, bytes, [&](std::vector<std::uint8_t>& mutant,
+                                     std::size_t /*pos*/) {
+      const std::size_t at = fields[b][rng.uniform_below(fields[b].size())];
+      if (at + 4 > mutant.size()) return;
+      const std::uint32_t v =
+          rng.bernoulli(0.25)
+              ? static_cast<std::uint32_t>(rng.uniform_below(1ull << 32))
+              : stomps[rng.uniform_below(std::size(stomps))];
+      if (rng.bernoulli(0.5)) {
+        store_le32(mutant.data() + at, v);
+      } else {
+        store_be32(mutant.data() + at, v);
       }
-    }
+    });
     SCOPED_TRACE("mutant " + std::to_string(m) + " of shard " +
                  std::to_string(GetParam()));
     expect_paths_agree(bytes);

@@ -1,49 +1,46 @@
 #include "tools/cli_args.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "util/fields.h"
+
 namespace netsample::tools {
 
-namespace {
-
-int checked_jobs(const std::string& source, const std::string& text) {
-  return checked_count(source, text, 4096);
-}
-
-}  // namespace
-
-int checked_count(const std::string& source, const std::string& text,
-                  int max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 0 ||
-      v > max_value) {
-    throw std::invalid_argument(source + ": expected an integer in [0, " +
+std::uint64_t checked_count(const std::string& source, const std::string& text,
+                            std::uint64_t max_value, std::uint64_t min_value) {
+  std::uint64_t v = 0;
+  if (!fields::parse_uint(text, &v, max_value) || v < min_value) {
+    throw std::invalid_argument(source + ": expected an integer in [" +
+                                std::to_string(min_value) + ", " +
                                 std::to_string(max_value) + "], got \"" +
                                 text + "\"");
   }
-  return static_cast<int>(v);
+  return v;
 }
 
 double checked_real(const std::string& source, const std::string& text,
                     double max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v) || v < 0.0 || v > max_value) {
+  double v = 0;
+  if (!fields::parse_real(text, &v) || v < 0.0 || v > max_value) {
     char max_text[32];
     std::snprintf(max_text, sizeof max_text, "%g", max_value);
     throw std::invalid_argument(source + ": expected a number in [0, " +
                                 max_text + "], got \"" + text + "\"");
   }
   return v;
+}
+
+std::vector<std::string> list_items(const std::string& list) {
+  std::vector<std::string> out;
+  (void)fields::for_each_item(list, ',', [&out](std::string_view item) {
+    out.emplace_back(item);
+    return true;
+  });
+  return out;
 }
 
 void add_common_flags(ArgParser& args, bool with_pcap) {
@@ -111,7 +108,8 @@ void add_sweep_flags(ArgParser& args) {
 
 CommonOptions read_common_options(const ArgParser& args) {
   CommonOptions out;
-  out.jobs = checked_jobs("--jobs", args.get_string("jobs"));
+  out.jobs =
+      static_cast<int>(checked_count("--jobs", args.get_string("jobs"), 4096));
   if (args.has("pcap")) out.pcap = args.get_string("pcap");
   if (args.has("metrics-out")) out.metrics_out = args.get_string("metrics-out");
   if (args.has("trace-out")) out.trace_out = args.get_string("trace-out");
@@ -169,7 +167,8 @@ CommonOptions parse_figure_args(int argc, char** argv,
     // --jobs (even "--jobs 0" = auto) beats NETSAMPLE_JOBS beats auto.
     if (!jobs_explicit) {
       if (const char* env = std::getenv("NETSAMPLE_JOBS")) {
-        out.jobs = checked_jobs("NETSAMPLE_JOBS", env);
+        out.jobs =
+            static_cast<int>(checked_count("NETSAMPLE_JOBS", env, 4096));
       }
     }
     if (out.pcap.empty()) {

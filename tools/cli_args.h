@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "netsample/netsample.h"
 
@@ -42,21 +43,26 @@ void add_common_flags(ArgParser& args, bool with_pcap = true);
 /// coordinator and worker subcommands cannot drift.
 void add_sweep_flags(ArgParser& args);
 
-/// The single parser behind every integer flag and list item (--jobs,
-/// --workers, NETSAMPLE_JOBS, --grid-k, budgets): accepts a base-10 integer
-/// in [0, max_value] as the whole token, rejecting non-numeric text,
-/// trailing garbage, negatives, and overflow with one uniform message.
-/// Throws std::invalid_argument (exit 64 at the CLI).
-[[nodiscard]] int checked_count(const std::string& source,
-                                const std::string& text, int max_value);
+/// The single reader behind every integer flag and list item (--jobs,
+/// --k, --seed, NETSAMPLE_JOBS, --grid-k, budgets): a base-10 integer in
+/// [min_value, max_value] as the whole token (the unsigned grammar of
+/// docs/FORMATS.md, "Text fields"), else std::invalid_argument with one
+/// uniform message naming `source` (exit 64 at the CLI).
+[[nodiscard]] std::uint64_t checked_count(const std::string& source,
+                                          const std::string& text,
+                                          std::uint64_t max_value,
+                                          std::uint64_t min_value = 0);
 
-/// The same rules for real-valued flags and list items (durations, rates,
-/// --intensity probabilities): a finite base-10 value in [0, max_value] as
-/// the whole token, rejecting non-numeric text, trailing garbage,
-/// negatives, NaN/inf, and overflow. Throws std::invalid_argument (exit 64
-/// at the CLI).
+/// The same for real-valued flags and list items (durations, rates,
+/// --intensity probabilities): a finite decimal in [0, max_value] as the
+/// whole token (the real grammar of the same section).
 [[nodiscard]] double checked_real(const std::string& source,
                                   const std::string& text, double max_value);
+
+/// The items of a comma-separated flag value, split by the list grammar of
+/// the same section: an empty value is an empty list, and an empty item
+/// ("2,,4") reaches its reader, which refuses it.
+[[nodiscard]] std::vector<std::string> list_items(const std::string& list);
 
 /// Read the shared flags back after a successful parse(), validating ranges
 /// (--jobs in [0, 4096]) and applying side effects: --simd forces a kernel

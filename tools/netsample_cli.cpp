@@ -104,6 +104,29 @@ int usage() {
   return kExitUsage;
 }
 
+// Numeric flag ranges: a seed, k or population may be any u64 (k >= 1: the
+// library divides by it); replications stop where the SweepSpec and
+// SessionSpec codecs stop; other counts and reals get a generous bound.
+constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxCount = 1000000000;
+constexpr std::uint64_t kMaxReps = 1000000;
+constexpr double kMaxReal = 1e9;
+
+/// Every numeric flag reads through the shared checked readers
+/// (tools/cli_args.h): the whole token, inside the flag's range, or a usage
+/// error (64) that names the flag.
+template <class T = std::uint64_t>
+T count_flag(const ArgParser& args, const std::string& name,
+             std::uint64_t max_value, std::uint64_t min_value = 0) {
+  return static_cast<T>(tools::checked_count("--" + name, args.get_string(name),
+                                             max_value, min_value));
+}
+
+double real_flag(const ArgParser& args, const std::string& name,
+                 double max_value = kMaxReal) {
+  return tools::checked_real("--" + name, args.get_string(name), max_value);
+}
+
 /// Load a capture honoring --strict / --salvage, surfacing every counter the
 /// parse and decode produced so a dirty capture is never silently "fine".
 /// `out` lets machine-readable commands (impair --csv) divert the human
@@ -147,22 +170,10 @@ exper::RunOptions sweep_options(const ArgParser& args,
     throw std::invalid_argument("unknown --on-error '" + policy +
                                 "' (abort|skip|retry)");
   }
-  opts.max_attempts = 1 + static_cast<int>(args.get_int("retries"));
-  opts.cell_timeout_seconds = args.get_double("cell-timeout");
+  opts.max_attempts = 1 + count_flag<int>(args, "retries", 1000);
+  opts.cell_timeout_seconds = real_flag(args, "cell-timeout");
   opts.journal = journal;
   return opts;
-}
-
-/// The non-empty items of a comma-separated flag value ("2,,4," -> 2, 4).
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = std::min(list.find(',', pos), list.size());
-    if (comma > pos) out.push_back(list.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
 }
 
 core::Method parse_method(const std::string& name) {
@@ -177,8 +188,8 @@ core::Method parse_method(const std::string& name) {
 }
 
 int cmd_generate(ArgParser& args) {
-  const double minutes = args.get_double("minutes");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  const double minutes = real_flag(args, "minutes");
+  const std::uint64_t seed = count_flag(args, "seed", kAnyCount);
   const std::string out = args.get_string("out");
 
   if (args.get_bool("flow-mix") && args.get_bool("poisson")) {
@@ -224,16 +235,16 @@ int cmd_inspect(ArgParser& args) {
 }
 
 int cmd_sample(ArgParser& args) {
+  core::SamplerSpec spec;
+  spec.method = parse_method(args.get_string("method"));
+  spec.granularity = count_flag(args, "k", kAnyCount, 1);
+  spec.seed = count_flag(args, "seed", kAnyCount);
+
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
-
-  core::SamplerSpec spec;
-  spec.method = parse_method(args.get_string("method"));
-  spec.granularity = static_cast<std::uint64_t>(args.get_int("k"));
   spec.population = ex.population_size();
   spec.mean_interarrival_usec = ex.mean_interarrival_usec();
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   auto sampler = core::make_sampler(spec);
 
   const auto sample = core::draw(ex.full(), *sampler);
@@ -251,17 +262,18 @@ int cmd_sample(ArgParser& args) {
 }
 
 int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
+  exper::CellConfig cfg;
+  cfg.method = parse_method(args.get_string("method"));
+  cfg.granularity = count_flag(args, "k", kAnyCount, 1);
+  cfg.replications = count_flag<int>(args, "reps", kMaxReps, 1);
+  cfg.base_seed = count_flag(args, "seed", kAnyCount);
+  exper::RunOptions ropts = sweep_options(args, nullptr);
+
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
-
-  exper::CellConfig cfg;
-  cfg.method = parse_method(args.get_string("method"));
-  cfg.granularity = static_cast<std::uint64_t>(args.get_int("k"));
   cfg.interval = ex.full();
   cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
-  cfg.replications = static_cast<int>(args.get_int("reps"));
-  cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
   cfg.cache = &ex.binned_cache();
 
   const std::string which = args.get_string("target");
@@ -303,7 +315,6 @@ int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
     tasks.push_back({cfg, 0});
   }
   exper::CheckpointJournal journal;
-  exper::RunOptions ropts = sweep_options(args, nullptr);
   if (args.has("resume")) {
     auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
     if (!opened) return fail(opened.status());
@@ -341,18 +352,20 @@ int cmd_impair(ArgParser& args) {
   // Intensity ladder: comma-separated per-record probabilities, each
   // checked as a whole token before the capture is read.
   std::vector<double> intensities;
-  for (const std::string& item : split_list(args.get_string("intensity"))) {
+  for (const auto& item : tools::list_items(args.get_string("intensity"))) {
     intensities.push_back(tools::checked_real("--intensity", item, 1.0));
   }
   if (intensities.empty()) {
     throw std::invalid_argument("--intensity needs at least one value");
   }
+  const auto method = parse_method(args.get_string("method"));
+  const std::uint64_t k = count_flag(args, "k", kAnyCount, 1);
+  const int reps = count_flag<int>(args, "reps", kMaxReps, 1);
+  const std::uint64_t seed = count_flag(args, "seed", kAnyCount);
 
   auto loaded = load(args.positionals().at(0), args, info);
   if (!loaded) return fail(loaded.status());
   const trace::Trace clean = std::move(*loaded);
-  const auto method = parse_method(args.get_string("method"));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   // Which faults to sweep.
   std::vector<faultsim::Fault> faults;
@@ -372,18 +385,18 @@ int cmd_impair(ArgParser& args) {
     exper::CellConfig cfg;
     cfg.method = method;
     cfg.target = core::Target::kPacketSize;
-    cfg.granularity = static_cast<std::uint64_t>(args.get_int("k"));
+    cfg.granularity = k;
     cfg.interval = t.view();
     cfg.mean_interarrival_usec =
         trace::summarize_population(t.view()).interarrival.mean;
-    cfg.replications = static_cast<int>(args.get_int("reps"));
+    cfg.replications = reps;
     cfg.base_seed = seed;
     return exper::run_cell(cfg).phi_mean();
   };
   const double baseline = score_phi(clean);
   info << "clean capture: " << fmt_count(clean.size())
        << " packets, baseline mean phi " << fmt_double(baseline, 4) << " ("
-       << args.get_string("method") << ", k=" << args.get_int("k") << ")\n";
+       << args.get_string("method") << ", k=" << k << ")\n";
   // One Table for both presentations: aligned text for humans, CSV (same
   // columns, same cells) for machines. The loss counters that used to be
   // CSV-only are worth seeing in the human table too.
@@ -443,17 +456,17 @@ int cmd_impair(ArgParser& args) {
 SessionSpec session_spec_from_args(const ArgParser& args) {
   SessionSpec spec;
   spec.method = parse_method(args.get_string("method"));
-  spec.granularity = static_cast<std::uint64_t>(args.get_int("k"));
-  spec.replications = static_cast<int>(args.get_int("reps"));
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  spec.granularity = count_flag(args, "k", kAnyCount, 1);
+  spec.replications = count_flag<int>(args, "reps", kMaxReps, 1);
+  spec.seed = count_flag(args, "seed", kAnyCount);
   spec.targets = args.get_string("target");
-  spec.window_s = args.get_double("window");
-  spec.stride_s = args.get_double("stride");
-  spec.population = static_cast<std::uint64_t>(args.get_int("population"));
-  spec.mean_iat_usec = args.get_double("mean-iat");
-  spec.chunk_packets = static_cast<std::size_t>(args.get_int("chunk"));
-  spec.ring_capacity = static_cast<std::size_t>(args.get_int("ring"));
-  spec.deadline_s = args.get_double("deadline");
+  spec.window_s = real_flag(args, "window");
+  spec.stride_s = real_flag(args, "stride");
+  spec.population = count_flag(args, "population", kAnyCount);
+  spec.mean_iat_usec = real_flag(args, "mean-iat");
+  spec.chunk_packets = count_flag(args, "chunk", kMaxCount, 1);
+  spec.ring_capacity = count_flag(args, "ring", kMaxCount, 1);
+  spec.deadline_s = real_flag(args, "deadline");
   spec.tenant = args.get_string("tenant");
   const Status status = validate_session_spec(spec);
   if (!status.is_ok()) throw StatusError(status);
@@ -551,16 +564,12 @@ void install_serve_signal_handlers() {
 int cmd_serve(ArgParser& args) {
   serve::ServeOptions sopts;
   sopts.listen = args.get_string("listen");
-  sopts.lanes = static_cast<std::size_t>(
-      tools::checked_count("--lanes", args.get_string("lanes"), 4096));
-  sopts.default_budget.max_sessions = static_cast<std::size_t>(
-      tools::checked_count("--max-sessions", args.get_string("max-sessions"),
-                           1000000000));
-  sopts.default_budget.max_ring_bytes = static_cast<std::size_t>(
-      tools::checked_count("--max-ring-bytes",
-                           args.get_string("max-ring-bytes"), 2000000000));
-  sopts.default_budget.max_pps =
-      tools::checked_real("--max-pps", args.get_string("max-pps"), 1e12);
+  sopts.lanes = count_flag(args, "lanes", 4096);
+  sopts.default_budget.max_sessions =
+      count_flag(args, "max-sessions", kMaxCount);
+  sopts.default_budget.max_ring_bytes =
+      count_flag(args, "max-ring-bytes", 2000000000);
+  sopts.default_budget.max_pps = real_flag(args, "max-pps", 1e12);
   sopts.stop_check = [] { return g_serve_stop != 0; };
 
   install_serve_signal_handlers();
@@ -596,33 +605,24 @@ int cmd_loadgen(ArgParser& args) {
   lopts.connect = args.get_string("connect");
   auto hp = shard::parse_host_port(lopts.connect);
   if (!hp.has_value()) return fail(hp.status());
-  lopts.sessions = static_cast<std::size_t>(
-      tools::checked_count("--sessions", args.get_string("sessions"),
-                           1000000));
-  lopts.connections = static_cast<std::size_t>(
-      tools::checked_count("--connections", args.get_string("connections"),
-                           100000));
-  lopts.seed_groups = static_cast<std::size_t>(
-      tools::checked_count("--seed-groups", args.get_string("seed-groups"),
-                           1000000));
-  lopts.feed_packets = static_cast<std::size_t>(
-      tools::checked_count("--feed-chunk", args.get_string("feed-chunk"),
-                           1000000000));
+  lopts.sessions = count_flag(args, "sessions", 1000000);
+  lopts.connections = count_flag(args, "connections", 100000);
+  lopts.seed_groups = count_flag(args, "seed-groups", 1000000);
+  lopts.feed_packets = count_flag(args, "feed-chunk", kMaxCount);
   if (lopts.sessions == 0 || lopts.connections == 0 ||
       lopts.seed_groups == 0 || lopts.feed_packets == 0) {
     throw std::invalid_argument(
         "loadgen --sessions/--connections/--seed-groups/--feed-chunk must "
         "be >= 1");
   }
-  lopts.p99_ms =
-      tools::checked_real("--p99-ms", args.get_string("p99-ms"), 1e9);
+  lopts.p99_ms = real_flag(args, "p99-ms");
   if (args.has("dump-rows")) lopts.dump_rows_path = args.get_string("dump-rows");
   lopts.close_sessions = !args.get_bool("no-close");
   lopts.spec = session_spec_from_args(args);
   // --deadline bounds the whole drill (daemons that wedge must fail it),
   // not each session: a per-session deadline would shed under load and
   // make the latency assertion vacuous.
-  const double deadline = args.get_double("deadline");
+  const double deadline = real_flag(args, "deadline");
   if (deadline > 0) lopts.timeout_s = deadline;
   lopts.spec.deadline_s = 0;
 
@@ -658,9 +658,11 @@ int cmd_loadgen(ArgParser& args) {
 /// `netsample flows` without --sweep: assemble every flow and print the top
 /// talkers (the original behavior of the subcommand).
 int flow_top_talkers(ArgParser& args) {
+  const double timeout_s = real_flag(args, "timeout");
+  const std::uint64_t top_n = count_flag(args, "top", kMaxCount);
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
-  trace::FlowTable table(MicroDuration::from_seconds(args.get_double("timeout")));
+  trace::FlowTable table(MicroDuration::from_seconds(timeout_s));
   table.run(t->view());
   const auto s = table.stats();
   std::cout << fmt_count(s.flows) << " flows, " << fmt_count(s.packets)
@@ -669,7 +671,7 @@ int flow_top_talkers(ArgParser& args) {
 
   TextTable top({"src", "dst", "proto", "dport", "packets", "bytes", "sec"});
   for (const auto& f :
-       table.top_by_packets(static_cast<std::size_t>(args.get_int("top")))) {
+       table.top_by_packets(static_cast<std::size_t>(top_n))) {
     top.add_row({f.key.src.to_string(), f.key.dst.to_string(),
                  net::ip_proto_name(f.key.protocol),
                  std::to_string(f.key.dst_port), fmt_count(f.packets),
@@ -680,11 +682,11 @@ int flow_top_talkers(ArgParser& args) {
 }
 
 int cmd_design(ArgParser& args) {
-  const double mu = args.get_double("mu");
-  const double sigma = args.get_double("sigma");
-  const double acc = args.get_double("accuracy");
-  const double conf = args.get_double("confidence");
-  const auto pop = static_cast<std::uint64_t>(args.get_int("population"));
+  const double mu = real_flag(args, "mu");
+  const double sigma = real_flag(args, "sigma");
+  const double acc = real_flag(args, "accuracy");
+  const double conf = real_flag(args, "confidence", 1.0);
+  const std::uint64_t pop = count_flag(args, "population", kAnyCount);
   const auto p = core::plan_sample_size(mu, sigma, acc, conf, pop);
   std::cout << "to estimate a mean of " << fmt_double(mu, 1) << " (sd "
             << fmt_double(sigma, 1) << ") to +-" << fmt_double(acc, 1)
@@ -700,11 +702,11 @@ int cmd_design(ArgParser& args) {
 }
 
 int cmd_charact(ArgParser& args) {
+  const std::uint64_t k = count_flag(args, "k", kAnyCount, 1);
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   const auto node = args.get_string("node") == "t1" ? charact::NodeType::kT1
                                                     : charact::NodeType::kT3;
-  const auto k = static_cast<std::uint64_t>(args.get_int("k"));
   std::uint64_t counter = 0;
   charact::Selector selector;
   if (k > 1) {
@@ -752,11 +754,11 @@ int cmd_stats(ArgParser& args) {
 /// base-10 integer in [1, INT_MAX]; throws on anything else or an empty list.
 std::vector<std::uint64_t> parse_k_list(const std::string& list) {
   std::vector<std::uint64_t> out;
-  for (const std::string& item : split_list(list)) {
-    const int k = tools::checked_count("--grid-k", item,
-                                       std::numeric_limits<int>::max());
+  for (const std::string& item : tools::list_items(list)) {
+    const std::uint64_t k = tools::checked_count(
+        "--grid-k", item, std::numeric_limits<int>::max());
     if (k == 0) throw std::invalid_argument("--grid-k: k must be >= 1");
-    out.push_back(static_cast<std::uint64_t>(k));
+    out.push_back(k);
   }
   if (out.empty()) {
     throw std::invalid_argument("--grid-k needs at least one granularity");
@@ -770,7 +772,7 @@ void apply_methods_flag(const ArgParser& args, shard::SweepSpec* spec) {
   const std::string methods = args.get_string("methods");
   if (methods == "all") return;
   spec->methods.clear();
-  for (const std::string& item : split_list(methods)) {
+  for (const std::string& item : tools::list_items(methods)) {
     spec->methods.push_back(shard::parse_method_token(item));
   }
   if (spec->methods.empty()) {
@@ -782,8 +784,8 @@ void apply_methods_flag(const ArgParser& args, shard::SweepSpec* spec) {
 /// by --target / --methods / --grid-k.
 shard::SweepSpec sweep_spec_from_args(const ArgParser& args) {
   shard::SweepSpec spec = shard::default_sweep_spec();
-  spec.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  spec.replications = static_cast<int>(args.get_int("reps"));
+  spec.base_seed = count_flag(args, "seed", kAnyCount);
+  spec.replications = count_flag<int>(args, "reps", kMaxReps, 1);
   const std::string which = args.get_string("target");
   if (which == "size") {
     spec.targets = {core::Target::kPacketSize};
@@ -805,32 +807,29 @@ shard::SweepSpec flow_spec_from_args(const ArgParser& args) {
   spec.workload = shard::Workload::kFlow;
   // Placeholder target: required by the spec codec, ignored by flow cells.
   spec.targets = {core::Target::kPacketSize};
-  spec.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  spec.replications = static_cast<int>(args.get_int("reps"));
+  spec.base_seed = count_flag(args, "seed", kAnyCount);
+  spec.replications = count_flag<int>(args, "reps", kMaxReps, 1);
   apply_methods_flag(args, &spec);
   const std::string ks = args.get_string("grid-k");
   spec.granularities = ks == "ladder" ? flow::flow_ladder() : parse_k_list(ks);
 
-  for (const std::string& item : split_list(args.get_string("estimators"))) {
+  for (const auto& item : tools::list_items(args.get_string("estimators"))) {
     spec.estimators.push_back(flow::parse_estimator_token(item));
   }
   if (spec.estimators.empty()) {
     throw std::invalid_argument("--estimators needs at least one of rescale|em");
   }
 
-  const double timeout_s = args.get_double("timeout");
+  const double timeout_s = real_flag(args, "timeout");
   if (!(timeout_s > 0.0)) {
     throw std::invalid_argument("flows --timeout must be > 0 seconds");
   }
   spec.flow.idle_timeout_usec = static_cast<std::uint64_t>(timeout_s * 1e6);
-  spec.flow.capacity = static_cast<std::uint64_t>(tools::checked_count(
-      "--flow-cap", args.get_string("flow-cap"), 1000000000));
-  const int em_iters = tools::checked_count("--em-iters",
-                                            args.get_string("em-iters"), 100000);
-  if (em_iters == 0) {
+  spec.flow.capacity = count_flag(args, "flow-cap", kMaxCount);
+  spec.flow.em_iters = count_flag<int>(args, "em-iters", 100000);
+  if (spec.flow.em_iters == 0) {
     throw std::invalid_argument("--em-iters must be >= 1");
   }
-  spec.flow.em_iters = em_iters;
   return spec;
 }
 
@@ -865,20 +864,13 @@ struct ShardFlags {
 /// to exit 64 in main().
 ShardFlags shard_flags_from_args(const ArgParser& args) {
   ShardFlags f;
-  f.workers =
-      tools::checked_count("--workers", args.get_string("workers"), 4096);
-  f.chaos = tools::checked_count(
-      "--chaos-kill-after", args.get_string("chaos-kill-after"), 1000000000);
-  f.max_respawns = tools::checked_count(
-      "--max-respawns", args.get_string("max-respawns"), 1000000000);
-  f.depart = tools::checked_count(
-      "--depart-after", args.get_string("depart-after"), 1000000000);
-  f.heartbeat = tools::checked_real(
-      "--heartbeat-interval", args.get_string("heartbeat-interval"), 3600.0);
-  f.lease_timeout = tools::checked_real(
-      "--lease-timeout", args.get_string("lease-timeout"), 3600.0);
-  f.connect_retries = tools::checked_count(
-      "--connect-retries", args.get_string("connect-retries"), 1000);
+  f.workers = count_flag<int>(args, "workers", 4096);
+  f.chaos = count_flag<int>(args, "chaos-kill-after", kMaxCount);
+  f.max_respawns = count_flag<int>(args, "max-respawns", kMaxCount);
+  f.depart = count_flag<int>(args, "depart-after", kMaxCount);
+  f.heartbeat = real_flag(args, "heartbeat-interval", 3600.0);
+  f.lease_timeout = real_flag(args, "lease-timeout", 3600.0);
+  f.connect_retries = count_flag<int>(args, "connect-retries", 1000);
   f.transport = args.get_string("transport");
   if (f.transport != "pipe" && f.transport != "socket") {
     throw std::invalid_argument("--transport must be pipe or socket, got \"" +
@@ -1122,14 +1114,11 @@ int cmd_worker(ArgParser& args) {
   shard::WorkerOptions wopts;
   wopts.store_path = args.get_string("store");
   wopts.backend = args.get_string("store-backend");
-  const int die = tools::checked_count("--die-after",
-                                       args.get_string("die-after"), 1000000000);
+  const int die = count_flag<int>(args, "die-after", kMaxCount);
   wopts.die_after_cells = die > 0 ? die : -1;
-  const int depart = tools::checked_count(
-      "--depart-after", args.get_string("depart-after"), 1000000000);
+  const int depart = count_flag<int>(args, "depart-after", kMaxCount);
   wopts.depart_after_cells = depart > 0 ? depart : -1;
-  wopts.connect_retries = tools::checked_count(
-      "--connect-retries", args.get_string("connect-retries"), 1000);
+  wopts.connect_retries = count_flag<int>(args, "connect-retries", 1000);
   if (args.has("netfault")) {
     wopts.netfault = args.get_string("netfault");
     auto nf = faultsim::parse_netfault_spec(wopts.netfault);
