@@ -10,7 +10,9 @@ bool valid_session_id(const std::string& id) {
   return fields::is_token(id, kMaxSessionIdLen);
 }
 
-bool parse_client_line(const std::string& line, ClientMessage* msg,
+namespace detail {
+
+bool split_client_line(std::string_view line, ClientLine* out,
                        std::string* error) {
   // Consecutive spaces are a framing error surfaced as an empty token by
   // the "bad session id" / "missing payload" checks.
@@ -21,12 +23,11 @@ bool parse_client_line(const std::string& line, ClientMessage* msg,
     *error = why;
     return false;
   };
+  *out = ClientLine{};
   if (verb == "STATS" || verb == "BYE") {
     if (operands) return fail(std::string(verb) + " takes no operands");
-    msg->command =
+    out->command =
         verb == "STATS" ? ClientCommand::kStats : ClientCommand::kBye;
-    msg->session_id.clear();
-    msg->payload.clear();
     return true;
   }
   if (verb != "OPEN" && verb != "FEED" && verb != "CLOSE") {
@@ -37,21 +38,32 @@ bool parse_client_line(const std::string& line, ClientMessage* msg,
   if (!fields::is_token(id, kMaxSessionIdLen)) {
     return fail(std::string(verb) + ": bad session id");
   }
-  msg->session_id = id;
+  out->session_id = id;
   if (verb == "CLOSE") {
     if (payload) return fail("CLOSE takes only a session id");
-    msg->command = ClientCommand::kClose;
-    msg->payload.clear();
+    out->command = ClientCommand::kClose;
     return true;
   }
   // OPEN and FEED carry the rest of the line as payload.
   if (rest.empty()) return fail(std::string(verb) + ": missing payload");
-  msg->command = verb == "OPEN" ? ClientCommand::kOpen : ClientCommand::kFeed;
-  msg->payload = rest;
+  out->command = verb == "OPEN" ? ClientCommand::kOpen : ClientCommand::kFeed;
+  out->payload = rest;
   return true;
 }
 
-bool parse_feed_payload(const std::string& payload, MicroTime* last_ts,
+}  // namespace detail
+
+bool parse_client_line(const std::string& line, ClientMessage* msg,
+                       std::string* error) {
+  detail::ClientLine split;
+  if (!detail::split_client_line(line, &split, error)) return false;
+  msg->command = split.command;
+  msg->session_id = split.session_id;
+  msg->payload = split.payload;
+  return true;
+}
+
+bool parse_feed_payload(std::string_view payload, MicroTime* last_ts,
                         FeedChunk* out) {
   out->packets.clear();
   out->clamped = 0;

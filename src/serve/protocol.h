@@ -26,12 +26,15 @@
 // stream::PcapSource (trace::TimePolicy::kClamp), so a serve session fed
 // from a capture replay scores exactly what `netsample watch` scores on
 // the same file. Strict framing is inherited from the transport: a torn
-// line from a dying peer is discarded, never half-parsed.
+// line from a dying peer is discarded, never half-parsed, and a line
+// longer than kMaxLineBytes is answered `ERROR line too long` and the
+// connection is dropped.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/packet_record.h"
@@ -45,6 +48,15 @@ namespace netsample::serve {
 inline constexpr std::size_t kMaxSessionIdLen = 64;
 
 [[nodiscard]] bool valid_session_id(const std::string& id);
+
+/// Longest client line the daemon accepts, newline excluded.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Most packets one FEED line carries within kMaxLineBytes when every
+/// token is at its widest (a 20-digit timestamp and a 5-digit length, 26
+/// bytes plus a space) and the session id is at its longest.
+inline constexpr std::size_t kMaxFeedPackets =
+    (kMaxLineBytes - (sizeof "FEED " - 1) - kMaxSessionIdLen) / 27;
 
 enum class ClientCommand {
   kOpen,
@@ -67,6 +79,24 @@ struct ClientMessage {
 [[nodiscard]] bool parse_client_line(const std::string& line,
                                      ClientMessage* msg, std::string* error);
 
+namespace detail {
+
+/// One client line as the grammar splits it: views into the line.
+struct ClientLine {
+  ClientCommand command{ClientCommand::kStats};
+  std::string_view session_id;
+  std::string_view payload;
+};
+
+/// The client-line grammar itself, behind parse_client_line: the same
+/// verdicts and ERROR reasons, without copying anything out of `line`.
+/// The daemon routes every line with it, so a FEED payload is never
+/// copied on the protocol thread.
+[[nodiscard]] bool split_client_line(std::string_view line, ClientLine* out,
+                                     std::string* error);
+
+}  // namespace detail
+
 /// Decoded FEED payload plus the salvage tally.
 struct FeedChunk {
   std::vector<trace::PacketRecord> packets;
@@ -77,8 +107,10 @@ struct FeedChunk {
 /// running-max timestamp, carried across FEED lines and updated here;
 /// out-of-order timestamps are clamped to it and counted. False on any
 /// malformed token (zero or oversized length, non-numeric fields) — the
-/// session cannot be trusted past a garbled FEED and is shed.
-[[nodiscard]] bool parse_feed_payload(const std::string& payload,
+/// session cannot be trusted past a garbled FEED and is shed. `out`'s
+/// storage is reused, so a caller that keeps one FeedChunk allocates only
+/// while its FEEDs grow.
+[[nodiscard]] bool parse_feed_payload(std::string_view payload,
                                       MicroTime* last_ts, FeedChunk* out);
 
 /// Encode packets as a FEED payload (the loadgen/test side of the codec).

@@ -87,7 +87,9 @@ class Server {
 
   /// Hand the server an already-connected client transport (tests,
   /// in-process harnesses). Thread-compatible with run(): call only
-  /// before run() or from the run() thread.
+  /// before run() or from the run() thread. The transport keeps the line
+  /// cap it was built with; build it with kMaxLineBytes for the daemon's
+  /// own (`ERROR line too long`, then a hang-up).
   void adopt_client(std::unique_ptr<shard::Transport> transport);
 
   /// Serve until stop is requested (then drain: every open session is

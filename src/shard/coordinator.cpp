@@ -122,7 +122,9 @@ class Coordinator {
         socket_mode_(opts.transport == TransportKind::kSocket),
         hb_(opts.heartbeat_interval_s),
         lt_(opts.lease_timeout_s),
-        window_(opts.reconnect_window_s) {}
+        window_(opts.reconnect_window_s),
+        max_line_(max_lease_line(
+            static_cast<std::size_t>(std::max(spec.replications, 1)))) {}
 
   /// Abort-path safety net: whatever is still alive gets SIGKILL'd and
   /// reaped, so no error return leaks children.
@@ -286,7 +288,7 @@ class Coordinator {
     } else {
       ::close(c2w[0]);
       ::close(w2c[1]);
-      attach(s, make_fd_transport(w2c[0], c2w[1]));
+      attach(s, make_fd_transport(w2c[0], c2w[1], max_line_));
     }
     return true;
   }
@@ -372,6 +374,17 @@ class Coordinator {
       return lease.second <= sent_by;
     });
     return reclaimed;
+  }
+
+  /// What a drain of a live slot's wire said once its lines are handled.
+  /// An over-long line is garbage from the worker, treated as dead exactly
+  /// like a malformed line; a closed wire is a disconnect.
+  void on_read_end(Slot& s, ReadResult read) {
+    if (read == ReadResult::kTooLong) {
+      finalize_death(s, Departure::kUnexpected);
+    } else if (read == ReadResult::kClosed) {
+      on_disconnect(s);
+    }
   }
 
   /// The wire died. Pipes cannot come back — that is a death. A socket
@@ -568,9 +581,11 @@ class Coordinator {
   /// First line on an accepted socket must be HELLO; the pid is the
   /// worker's identity and binds the wire to its slot (reconnect) or to a
   /// fresh external slot. Remaining drained lines (a replay burst rides
-  /// the same packet) are fed to the bound slot.
+  /// the same packet) are fed to the bound slot. A wire that `read`
+  /// reports closed is found closed on its next poll; one that brought an
+  /// over-long line is a dead worker at once.
   void bind_pending(std::unique_ptr<Transport> chan,
-                    std::vector<std::string> lines) {
+                    std::vector<std::string> lines, ReadResult read) {
     if (lines.empty()) return;  // nothing to bind with; conn stays pending
     Message hello;
     if (!parse_message(lines.front(), &hello) ||
@@ -595,6 +610,9 @@ class Coordinator {
     handle_message(*target, hello);
     lines.erase(lines.begin());
     handle_slot_lines(*target, lines);
+    if (!target->dead && read == ReadResult::kTooLong) {
+      finalize_death(*target, Departure::kUnexpected);
+    }
   }
 
   // ---- timers ----------------------------------------------------------
@@ -773,7 +791,7 @@ class Coordinator {
         if (fds[f].revents == 0) continue;
         if (kinds[f] == 0) {
           // A straggler mid-redial: greet it with STOP so it exits.
-          while (auto conn = listener_.accept_connection()) {
+          while (auto conn = listener_.accept_connection(max_line_)) {
             (void)conn->write_line(stop_line);
             conn->shutdown_write();
             pending_conns_.push_back(PendingConn{
@@ -781,14 +799,15 @@ class Coordinator {
           }
         } else if (kinds[f] == 1) {
           std::vector<std::string> lines;
-          if (pending_conns_[refs[f]].chan->drain(&lines) ==
-              ReadResult::kClosed) {
+          const ReadResult r = pending_conns_[refs[f]].chan->drain(&lines);
+          if (r == ReadResult::kClosed || r == ReadResult::kTooLong) {
             dead_pending.push_back(refs[f]);
           }
         } else if (kinds[f] == 2) {
           Slot& s = slots_[refs[f]];
           std::vector<std::string> lines;
-          if (s.chan->drain(&lines) == ReadResult::kClosed) {
+          const ReadResult r = s.chan->drain(&lines);
+          if (r == ReadResult::kClosed || r == ReadResult::kTooLong) {
             s.chan->close();
             s.chan.reset();
           }
@@ -826,6 +845,7 @@ class Coordinator {
   const double hb_;
   const double lt_;
   const double window_;
+  const std::size_t max_line_;  // longest legal worker line (max_lease_line)
 
   std::size_t n_{0};
   std::vector<std::string> keys_;
@@ -1012,7 +1032,7 @@ StatusOr<ShardReport> Coordinator::run() {
     for (std::size_t f = 0; f < fds.size(); ++f) {
       if (fds[f].revents == 0) continue;
       if (kinds[f] == 0) {
-        while (auto conn = listener_.accept_connection()) {
+        while (auto conn = listener_.accept_connection(max_line_)) {
           pending_conns_.push_back(
               PendingConn{std::move(conn), Clock::now() + window_dur()});
         }
@@ -1023,9 +1043,9 @@ StatusOr<ShardReport> Coordinator::run() {
         std::vector<std::string> lines;
         const ReadResult r = pc.chan->drain(&lines);
         if (!lines.empty()) {
-          bind_pending(std::move(pc.chan), std::move(lines));
+          bind_pending(std::move(pc.chan), std::move(lines), r);
           closed_pending.push_back(refs[f]);
-        } else if (r == ReadResult::kClosed) {
+        } else if (r == ReadResult::kClosed || r == ReadResult::kTooLong) {
           pc.chan->close();
           closed_pending.push_back(refs[f]);
         }
@@ -1037,7 +1057,7 @@ StatusOr<ShardReport> Coordinator::run() {
       std::vector<std::string> lines;
       const ReadResult r = s.chan->drain(&lines);
       handle_slot_lines(s, lines);
-      if (r == ReadResult::kClosed && !s.dead) on_disconnect(s);
+      if (!s.dead) on_read_end(s, r);
     }
     std::sort(closed_pending.rbegin(), closed_pending.rend());
     for (const std::size_t i : closed_pending) {

@@ -1,7 +1,12 @@
 #include "shard/protocol.h"
 
+#include <algorithm>
+#include <limits>
 #include <string_view>
+#include <vector>
 
+#include "exper/journal.h"
+#include "shard/transport.h"
 #include "util/fields.h"
 
 namespace netsample::shard {
@@ -108,6 +113,25 @@ bool parse_message(const std::string& line, Message* m) {
     return fields::parse_uint(p, &m->index);
   }
   return false;
+}
+
+std::size_t max_lease_line(std::size_t replications) {
+  core::DisparityMetrics widest;
+  for (double* real :
+       {&widest.chi2, &widest.dof, &widest.significance, &widest.cost,
+        &widest.rcost, &widest.x2, &widest.avg_norm_dev, &widest.phi}) {
+    *real = -std::numeric_limits<double>::max();  // "-0x1.fffffffffffffp+1023"
+  }
+  widest.sample_n = widest.population_n = fields::kMaxUint;
+  Message result;
+  result.type = MessageType::kResult;
+  result.index = fields::kMaxUint;
+  result.text = exper::encode_replications({widest});
+  // One more replication adds one object and its separating comma.
+  const std::size_t per_rep = result.text.size() - 1;  // less "[]", plus ','
+  const std::size_t reps = std::max<std::size_t>(replications, 1);
+  return std::max(format_message(result).size() + (reps - 1) * per_rep,
+                  kReadWindow);
 }
 
 }  // namespace netsample::shard

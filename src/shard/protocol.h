@@ -32,9 +32,12 @@
 // parse_message is strict: any malformed line fails the parse, and the
 // coordinator treats a worker that emits one as dead (its leases are
 // reassigned) — a half-written line from a killed worker can never corrupt
-// a result.
+// a result. A line longer than max_lease_line() never reaches the parse:
+// the coordinator's framer refuses it (ReadResult::kTooLong), and the
+// worker is treated as dead the same way.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -68,6 +71,12 @@ struct Message {
 
 /// The wire line for a message, WITHOUT the trailing newline.
 [[nodiscard]] std::string format_message(const Message& m);
+
+/// The coordinator's line cap in a sweep of `replications`: the widest
+/// RESULT the replication codec can produce (every real at its longest
+/// hexfloat, every count and the cell index at 20 digits), and never
+/// below one read window, which leaves room for HELLO, FAIL, PONG and BYE.
+[[nodiscard]] std::size_t max_lease_line(std::size_t replications);
 
 /// Strict parse of one line (no trailing newline). Returns false on any
 /// mismatch; *m is unspecified then.

@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <string_view>
 #include <thread>
 
 #include "util/fields.h"
@@ -27,12 +29,94 @@ void set_nodelay(int fd) {
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
+/// The line framer under every fd transport. Unconsumed bytes are
+/// [head_, end_) and no newline lies in [head_, scan_), so each byte is
+/// searched once. A read first moves the unconsumed tail to the front, one
+/// move per read rather than one erase per line, so a burst of many lines
+/// costs linear time; and a partial line over the cap is refused before
+/// the next read, so the buffer never outgrows the cap plus one window.
+class LineFramer {
+ public:
+  explicit LineFramer(std::size_t max_line) : max_line_(max_line) {}
+
+  /// One read() of at most kReadWindow bytes; returns what read() did.
+  ssize_t fill(int fd) {
+    if (head_ == end_ && cap_ > 4 * kReadWindow) clear();  // a long line left
+    if (head_ > 0) {
+      std::memmove(data_.get(), data_.get() + head_, end_ - head_);
+      end_ -= head_;
+      scan_ -= head_;
+      head_ = 0;
+    }
+    reserve(end_ + kReadWindow);
+    const ssize_t got = ::read(fd, data_.get() + end_, kReadWindow);
+    if (got > 0) end_ += static_cast<std::size_t>(got);
+    return got;
+  }
+
+  /// The next complete line, trailing '\r' stripped, as a view valid
+  /// until the next fill(). False when none is buffered, or when the line
+  /// runs past the cap (too_long() then turns true).
+  bool next(std::string_view* line) {
+    if (too_long_) return false;
+    const char* base = data_.get();
+    const void* nl = end_ > scan_
+                         ? std::memchr(base + scan_, '\n', end_ - scan_)
+                         : nullptr;
+    if (nl == nullptr) {
+      scan_ = end_;
+      too_long_ = end_ - head_ > max_line_;
+      return false;
+    }
+    const auto at =
+        static_cast<std::size_t>(static_cast<const char*>(nl) - base);
+    std::size_t len = at - head_;
+    if (len > max_line_) {
+      too_long_ = true;
+      return false;
+    }
+    while (len > 0 && base[head_ + len - 1] == '\r') --len;
+    *line = std::string_view(base + head_, len);
+    head_ = scan_ = at + 1;
+    return true;
+  }
+
+  /// Drop every buffered byte (EOF, error, close: never deliver a torn
+  /// line) and the storage with them.
+  void clear() {
+    data_.reset();
+    cap_ = head_ = scan_ = end_ = 0;
+  }
+
+  [[nodiscard]] bool too_long() const { return too_long_; }
+
+ private:
+  void reserve(std::size_t need) {
+    if (need <= cap_) return;
+    const std::size_t cap =
+        std::max(need, std::min(2 * cap_, max_line_ + kReadWindow));
+    auto grown = std::make_unique_for_overwrite<char[]>(cap);
+    if (end_ > 0) std::memcpy(grown.get(), data_.get(), end_);
+    data_ = std::move(grown);
+    cap_ = cap;
+  }
+
+  std::unique_ptr<char[]> data_;
+  std::size_t cap_{0};
+  std::size_t head_{0};
+  std::size_t scan_{0};
+  std::size_t end_{0};
+  std::size_t max_line_;
+  bool too_long_{false};
+};
+
 /// The fd-pair transport behind both pipe mode (rfd != wfd) and socket
 /// mode (rfd == wfd). Line framing and the discard-partial-on-close rule
 /// live here, shared by every wire.
 class FdTransport final : public Transport {
  public:
-  FdTransport(int read_fd, int write_fd) : rfd_(read_fd), wfd_(write_fd) {}
+  FdTransport(int read_fd, int write_fd, std::size_t max_line)
+      : rfd_(read_fd), wfd_(write_fd), framer_(max_line) {}
   ~FdTransport() override { close(); }
 
   [[nodiscard]] int poll_fd() const override { return rfd_; }
@@ -57,28 +141,22 @@ class FdTransport final : public Transport {
   }
 
   [[nodiscard]] ReadResult read_line(std::string* line) override {
+    std::string_view view;
     while (true) {
-      if (take_line(line)) return ReadResult::kLine;
-      if (rfd_ < 0 || eof_) return ReadResult::kClosed;
-      char chunk[65536];
-      const ssize_t got = ::read(rfd_, chunk, sizeof chunk);
-      if (got < 0) {
-        if (errno == EINTR) return ReadResult::kInterrupted;
-        eof_ = true;
-        buf_.clear();  // never deliver a torn line
-        return ReadResult::kClosed;
+      if (framer_.next(&view)) {
+        line->assign(view);
+        return ReadResult::kLine;
       }
-      if (got == 0) {
-        eof_ = true;
-        buf_.clear();
-        return ReadResult::kClosed;
-      }
-      buf_.append(chunk, static_cast<std::size_t>(got));
+      if (rfd_ < 0 || eof_) return ended();
+      if (framer_.too_long()) return end_of_input();
+      const ssize_t got = framer_.fill(rfd_);
+      if (got < 0 && errno == EINTR) return ReadResult::kInterrupted;
+      if (got <= 0) return end_of_input();
     }
   }
 
   [[nodiscard]] ReadResult drain(std::vector<std::string>* lines) override {
-    if (rfd_ < 0 || eof_) return ReadResult::kClosed;
+    if (rfd_ < 0 || eof_) return ended();
     // Never block here, whatever the fd's flags: a zero-timeout poll
     // stands in for O_NONBLOCK so the same fd still block-reads in
     // read_line (spurious wakeups otherwise wedge the coordinator).
@@ -86,28 +164,20 @@ class FdTransport final : public Transport {
     if (::poll(&ready, 1, 0) <= 0 || (ready.revents & (POLLIN | POLLHUP)) == 0) {
       return ReadResult::kNoData;
     }
-    char chunk[65536];
-    const ssize_t got = ::read(rfd_, chunk, sizeof chunk);
-    if (got < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        return ReadResult::kNoData;
-      }
-      eof_ = true;
-      buf_.clear();
-      return ReadResult::kClosed;
+    const ssize_t got = framer_.fill(rfd_);
+    if (got < 0 &&
+        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return ReadResult::kNoData;
     }
-    if (got == 0) {
-      eof_ = true;
-      buf_.clear();
-      return ReadResult::kClosed;
-    }
-    buf_.append(chunk, static_cast<std::size_t>(got));
+    if (got <= 0) return end_of_input();
     bool any = false;
-    std::string line;
-    while (take_line(&line)) {
-      lines->push_back(std::move(line));
+    std::string_view line;
+    while (framer_.next(&line)) {
+      lines->emplace_back(line);
       any = true;
     }
+    // The lines before an over-long one are delivered with the kTooLong.
+    if (framer_.too_long()) return end_of_input();
     return any ? ReadResult::kLine : ReadResult::kNoData;
   }
 
@@ -133,7 +203,7 @@ class FdTransport final : public Transport {
     }
     eof_ = true;
     write_dead_ = true;
-    buf_.clear();
+    framer_.clear();
   }
 
   [[nodiscard]] bool is_closed() const override { return eof_; }
@@ -144,20 +214,24 @@ class FdTransport final : public Transport {
   }
 
  private:
-  bool take_line(std::string* line) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl == std::string::npos) return false;
-    line->assign(buf_, 0, nl);
-    while (!line->empty() && line->back() == '\r') line->pop_back();
-    buf_.erase(0, nl + 1);
-    return true;
+  /// EOF, a read error or an over-long line: reads are over, and the
+  /// partial line is never delivered.
+  ReadResult end_of_input() {
+    eof_ = true;
+    framer_.clear();
+    return ended();
+  }
+
+  /// What every read says once reads are over.
+  [[nodiscard]] ReadResult ended() const {
+    return framer_.too_long() ? ReadResult::kTooLong : ReadResult::kClosed;
   }
 
   int rfd_{-1};
   int wfd_{-1};
   bool eof_{false};
   bool write_dead_{false};
-  std::string buf_;
+  LineFramer framer_;
 };
 
 /// Stdio transport: the exec'd-worker stdin/stdout path and the tmpfile
@@ -227,8 +301,9 @@ class StdioTransport final : public Transport {
 
 }  // namespace
 
-std::unique_ptr<Transport> make_fd_transport(int read_fd, int write_fd) {
-  return std::make_unique<FdTransport>(read_fd, write_fd);
+std::unique_ptr<Transport> make_fd_transport(int read_fd, int write_fd,
+                                             std::size_t max_line) {
+  return std::make_unique<FdTransport>(read_fd, write_fd, max_line);
 }
 
 std::unique_ptr<Transport> make_stdio_transport(std::FILE* in,
@@ -345,7 +420,7 @@ StatusOr<Listener> Listener::open(const std::string& host_port) {
   return out;
 }
 
-std::unique_ptr<Transport> Listener::accept_connection() {
+std::unique_ptr<Transport> Listener::accept_connection(std::size_t max_line) {
   if (fd_ < 0) return nullptr;
   while (true) {
     const int conn = ::accept(fd_, nullptr, nullptr);
@@ -355,7 +430,7 @@ std::unique_ptr<Transport> Listener::accept_connection() {
       const int flags = ::fcntl(conn, F_GETFL, 0);
       (void)::fcntl(conn, F_SETFL, flags & ~O_NONBLOCK);
       set_nodelay(conn);
-      return make_fd_transport(conn, conn);
+      return make_fd_transport(conn, conn, max_line);
     }
     if (errno == EINTR) continue;
     return nullptr;  // EAGAIN / aborted handshake: nothing to accept
@@ -409,7 +484,7 @@ StatusOr<std::unique_ptr<Transport>> dial(const std::string& host_port,
       if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
         set_nodelay(fd);
         ::freeaddrinfo(res);
-        return std::unique_ptr<Transport>(make_fd_transport(fd, fd));
+        return make_fd_transport(fd, fd, kDefaultMaxLine);
       }
       err = std::strerror(errno);
       ::close(fd);

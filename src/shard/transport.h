@@ -27,9 +27,13 @@
 //
 // A partial line buffered when the peer closes is DISCARDED, never
 // delivered: strict framing is what keeps a half-written RESULT from a
-// dying worker unparseable by construction (docs/SHARDING.md).
+// dying worker unparseable by construction (docs/SHARDING.md). A line
+// longer than the transport's cap is discarded the same way and ends the
+// reads with kTooLong; whoever builds a fd transport states its cap
+// (docs/FORMATS.md §5).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -41,11 +45,23 @@
 
 namespace netsample::shard {
 
+/// Bytes one read() of a fd transport asks for; its framer reads at most
+/// this much at a time and compacts once per read.
+inline constexpr std::size_t kReadWindow = std::size_t{64} << 10;
+
+/// The line cap of a fd transport built without one: above the longest
+/// line any writer in this repository produces, a RESULT at the largest
+/// replication count the codecs accept (max_lease_line(10^6) is about
+/// 306 MiB) included.
+inline constexpr std::size_t kDefaultMaxLine = std::size_t{512} << 20;
+
 enum class ReadResult {
   kLine,         // *line holds one complete line (newline stripped)
   kNoData,       // nonblocking drain: nothing complete yet, channel fine
   kClosed,       // peer closed (or channel previously errored)
   kInterrupted,  // blocking read hit EINTR — caller decides (SIGTERM check)
+  kTooLong,      // a line ran past the transport's cap: reads are over as
+                 // on kClosed, and every later read says kTooLong again
 };
 
 class Transport {
@@ -70,7 +86,8 @@ class Transport {
   /// Nonblocking: consume at most one read() of bytes, append every line
   /// it completed to `lines`. kLine when >= 1 line landed, kNoData when
   /// the read would block or was short of a newline, kClosed on EOF
-  /// (any buffered partial line is discarded).
+  /// (any buffered partial line is discarded), kTooLong on a line over
+  /// the cap (the lines before it are still appended).
   [[nodiscard]] virtual ReadResult drain(std::vector<std::string>* lines) = 0;
 
   /// Half-close the write side so the peer sees EOF after our last line
@@ -86,9 +103,11 @@ class Transport {
 };
 
 /// A transport over a read fd + write fd pair (rfd == wfd for sockets;
-/// distinct fds for a pipe pair). Takes ownership of both.
-[[nodiscard]] std::unique_ptr<Transport> make_fd_transport(int read_fd,
-                                                           int write_fd);
+/// distinct fds for a pipe pair). Takes ownership of both. It delivers no
+/// line longer than `max_line` bytes, newline excluded: the first longer
+/// one ends its reads with kTooLong.
+[[nodiscard]] std::unique_ptr<Transport> make_fd_transport(
+    int read_fd, int write_fd, std::size_t max_line);
 
 /// A transport over stdio streams (worker exec mode: stdin/stdout). Does
 /// NOT own the FILEs; drain() is unsupported (workers only block-read).
@@ -119,9 +138,11 @@ class Listener {
   /// "host:actual-port" — what workers dial (resolves port 0).
   [[nodiscard]] std::string address() const;
 
-  /// Accept one pending connection (TCP_NODELAY set); null when none is
-  /// waiting (the listener fd is nonblocking).
-  [[nodiscard]] std::unique_ptr<Transport> accept_connection();
+  /// Accept one pending connection (TCP_NODELAY set) as a fd transport
+  /// capped at `max_line`; null when none is waiting (the listener fd is
+  /// nonblocking).
+  [[nodiscard]] std::unique_ptr<Transport> accept_connection(
+      std::size_t max_line = kDefaultMaxLine);
 
   void close();
 
@@ -144,7 +165,8 @@ struct DialOptions {
 };
 
 /// Connect to "host:port", retrying per `opts`. kInternal when every
-/// attempt failed, kInvalidArgument for an unparseable address.
+/// attempt failed, kInvalidArgument for an unparseable address. The wire
+/// is capped at kDefaultMaxLine.
 [[nodiscard]] StatusOr<std::unique_ptr<Transport>> dial(
     const std::string& host_port, const DialOptions& opts = {});
 

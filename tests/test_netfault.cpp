@@ -1,18 +1,26 @@
 // The socket/pipe Transport layer and the netfault wire-impairment
 // wrapper: strict host:port parsing, loopback framing, listener/dial
 // round trips over 127.0.0.1, the discard-partial-on-close guarantee that
-// makes torn RESULT lines unparseable by construction, and the seeded
-// determinism of every fault kind (drop, dup, trunc, delay, disconnect).
+// makes torn RESULT lines unparseable by construction, the framer's line
+// cap and linear cost, and the seeded determinism of every fault kind
+// (drop, dup, trunc, delay, disconnect).
 #include "faultsim/netfault.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
+#include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "exper/journal.h"
+#include "shard/protocol.h"
 #include "shard/transport.h"
 
 namespace netsample {
@@ -26,18 +34,19 @@ using shard::ReadResult;
 using shard::Transport;
 
 /// A connected pair of pipe transports: lines written to `a` are read from
-/// `b` and vice versa (the unit-test stand-in for a socket).
+/// `b` and vice versa (the unit-test stand-in for a socket). `b` delivers
+/// lines of at most `b_cap` bytes.
 struct Loopback {
   std::unique_ptr<Transport> a;
   std::unique_ptr<Transport> b;
 
-  Loopback() {
+  explicit Loopback(std::size_t b_cap = shard::kDefaultMaxLine) {
     int ab[2] = {-1, -1};
     int ba[2] = {-1, -1};
     EXPECT_EQ(::pipe(ab), 0);
     EXPECT_EQ(::pipe(ba), 0);
-    a = shard::make_fd_transport(ba[0], ab[1]);
-    b = shard::make_fd_transport(ab[0], ba[1]);
+    a = shard::make_fd_transport(ba[0], ab[1], shard::kDefaultMaxLine);
+    b = shard::make_fd_transport(ab[0], ba[1], b_cap);
   }
 };
 
@@ -215,6 +224,130 @@ TEST(ShardTransport, DialFailsClosedWhenNobodyListens) {
       shard::dial("127.0.0.1:" + std::to_string(dead_port), opts);
   ASSERT_FALSE(conn.has_value());
   EXPECT_EQ(conn.status().code(), StatusCode::kInternal);
+}
+
+/// Drain `t` until its reads end; what the last drain said.
+ReadResult drain_to_end(Transport& t, std::vector<std::string>* lines) {
+  ReadResult r = ReadResult::kNoData;
+  while (r == ReadResult::kNoData || r == ReadResult::kLine) r = t.drain(lines);
+  return r;
+}
+
+TEST(ShardTransport, LineCapRefusesTheFirstLongerLine) {
+  for (const bool blocking : {false, true}) {
+    Loopback wire{10};
+    ASSERT_TRUE(wire.a->write_line("0123456789"));  // exactly the cap
+    ASSERT_TRUE(wire.a->write_line("ok\r"));        // '\r' is stripped
+    ASSERT_TRUE(wire.a->write_line("0123456789A"));  // one byte over
+    ASSERT_TRUE(wire.a->write_line("never"));
+    std::vector<std::string> lines;
+    ReadResult r = ReadResult::kNoData;
+    if (blocking) {
+      std::string line;
+      while ((r = wire.b->read_line(&line)) == ReadResult::kLine) {
+        lines.push_back(line);
+      }
+    } else {
+      r = drain_to_end(*wire.b, &lines);
+    }
+    EXPECT_EQ(r, ReadResult::kTooLong);
+    EXPECT_EQ(lines, (std::vector<std::string>{"0123456789", "ok"}));
+    EXPECT_TRUE(wire.b->is_closed());
+    // Every later read says why the reads ended.
+    std::string line;
+    EXPECT_EQ(wire.b->read_line(&line), ReadResult::kTooLong);
+    EXPECT_EQ(wire.b->drain(&lines), ReadResult::kTooLong);
+  }
+
+  // A partial line is refused as soon as it outgrows the cap, newline or
+  // not: the framer never buffers more than the cap plus one read.
+  Loopback wire{1000};
+  ASSERT_TRUE(wire.a->write_bytes(std::string(4000, 'x')));
+  std::vector<std::string> lines;
+  EXPECT_EQ(drain_to_end(*wire.b, &lines), ReadResult::kTooLong);
+  EXPECT_TRUE(lines.empty());
+}
+
+TEST(ShardTransport, LineCapSurvivesAWrappingTransport) {
+  // The cap belongs to the fd transport, and its verdict travels up
+  // through a wrapper like any other read result.
+  Loopback wire{10};
+  NetFaultSpec spec;
+  spec.seed = 5;
+  NetFaultTransport wrapped(spec, std::move(wire.b));
+  ASSERT_TRUE(wire.a->write_line("short"));
+  ASSERT_TRUE(wire.a->write_line("far too long for the cap"));
+  std::vector<std::string> lines;
+  EXPECT_EQ(drain_to_end(wrapped, &lines), ReadResult::kTooLong);
+  EXPECT_EQ(lines, std::vector<std::string>{"short"});
+  std::string line;
+  EXPECT_EQ(wrapped.read_line(&line), ReadResult::kTooLong);
+}
+
+/// Best of five: the time one drain() takes to frame `lines` one-byte
+/// lines that arrived in a single read.
+double best_drain_seconds(std::size_t lines) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 5; ++round) {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    auto writer = shard::make_fd_transport(fds[0], fds[0],
+                                           shard::kDefaultMaxLine);
+    auto reader = shard::make_fd_transport(fds[1], fds[1],
+                                           shard::kDefaultMaxLine);
+    std::string burst;
+    for (std::size_t i = 0; i < lines; ++i) burst += "x\n";
+    EXPECT_TRUE(writer->write_bytes(burst));
+    std::vector<std::string> out;
+    out.reserve(lines);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(reader->drain(&out), ReadResult::kLine);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(out.size(), lines);
+    best = std::min(best, took.count());
+  }
+  return best;
+}
+
+TEST(ShardTransport, ManyLineBurstCostsLinearTime) {
+  // 8x the lines in one read (the larger burst is exactly one 64 KiB read
+  // window) should cost about 8x, not the 64x of a framer that erases
+  // from the front once per line.
+  const double small = best_drain_seconds(4096);
+  const double large = best_drain_seconds(shard::kReadWindow / 2);
+  EXPECT_LT(large / small, 24.0)
+      << "4096 lines: " << small * 1e6 << " us, 32768 lines: "
+      << large * 1e6 << " us";
+}
+
+TEST(ShardTransport, LeaseCapHoldsTheWidestResultExactly) {
+  core::DisparityMetrics widest;
+  for (double* real :
+       {&widest.chi2, &widest.dof, &widest.significance, &widest.cost,
+        &widest.rcost, &widest.x2, &widest.avg_norm_dev, &widest.phi}) {
+    *real = -std::numeric_limits<double>::max();
+  }
+  widest.sample_n = widest.population_n =
+      std::numeric_limits<std::uint64_t>::max();
+  core::DisparityMetrics subnormal = widest;
+  subnormal.phi = -std::numeric_limits<double>::denorm_min() * 3;
+  for (const std::size_t reps : {1, 3, 400, 5000}) {
+    shard::Message m;
+    m.type = shard::MessageType::kResult;
+    m.index = std::numeric_limits<std::uint64_t>::max();
+    m.text = exper::encode_replications(
+        std::vector<core::DisparityMetrics>(reps, widest));
+    const std::size_t longest = shard::format_message(m).size();
+    EXPECT_EQ(shard::max_lease_line(reps),
+              std::max(longest, shard::kReadWindow))
+        << reps;
+    m.text = exper::encode_replications(
+        std::vector<core::DisparityMetrics>(reps, subnormal));
+    EXPECT_LE(shard::format_message(m).size(), longest) << reps;
+  }
+  // Every in-repo writer fits the default cap, up to 10^6 replications.
+  EXPECT_LT(shard::max_lease_line(1000000), shard::kDefaultMaxLine);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,12 +2,19 @@
 // (netsample/session.h): spec codec and validation, the wire protocol
 // parsers, and the Server itself driven in-process over socketpairs —
 // session rows byte-identical to a direct engine run, admission and
-// shedding budgets enforced per tenant, survivors never perturbed, and a
-// stop request draining every open session.
+// shedding budgets enforced per tenant, survivors never perturbed, a stop
+// request draining every open session, FEED parsed on the lanes behind
+// per-connection flow control, and the daemon's line cap.
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <csignal>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,6 +121,10 @@ struct TestClient {
     std::vector<std::string> rows;
   };
 
+  /// Lines drain_all() read past that were neither ROWS nor a terminal
+  /// line (ERROR, STATS, OPENED).
+  std::vector<std::string> others;
+
   /// Read until every listed session hit its terminal line (CLOSED/SHED/
   /// REJECT), accumulating ROWS for ALL of them as they interleave. Session
   /// output from different drain lanes arrives in arbitrary order, so a
@@ -142,6 +153,8 @@ struct TestClient {
         end.verdict = verb;
         end.detail = rest;
         --remaining;
+      } else {
+        others.push_back(line);
       }
     }
     return ends;
@@ -166,8 +179,11 @@ struct ServerHarness {
   TestClient connect() {
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    server.adopt_client(shard::make_fd_transport(fds[0], fds[0]));
-    return TestClient{shard::make_fd_transport(fds[1], fds[1])};
+    server.adopt_client(
+        shard::make_fd_transport(fds[0], fds[0], kMaxLineBytes));
+    return TestClient{
+        shard::make_fd_transport(fds[1], fds[1], shard::kDefaultMaxLine), {},
+        {}};
   }
 
   void run_async() {
@@ -631,6 +647,316 @@ TEST(ServeDaemon, StopRequestDrainsOpenSessionsToClosed) {
   EXPECT_EQ(end.rows,
             reference_rows(spec,
                            std::span<const trace::PacketRecord>(packets)));
+  client.transport->close();
+}
+
+// ---- FEED parsed on the lanes, behind per-connection flow control --------
+
+/// The packets a session scores for `packets`: FEED's running-max clamp
+/// applied, as the lane applies it across FEED lines.
+std::vector<trace::PacketRecord> clamped(
+    std::vector<trace::PacketRecord> packets) {
+  std::uint64_t last = 0;
+  for (auto& p : packets) {
+    last = std::max(last, p.timestamp.usec);
+    p.timestamp.usec = last;
+  }
+  return packets;
+}
+
+/// Send `packets` as FEED lines of `per_line` packets each.
+void feed_all(TestClient& client, const std::string& id,
+              std::span<const trace::PacketRecord> packets,
+              std::size_t per_line) {
+  for (std::size_t at = 0; at < packets.size(); at += per_line) {
+    const std::size_t len = std::min(per_line, packets.size() - at);
+    client.send("FEED " + id + " " +
+                encode_feed_payload(packets.subspan(at, len)));
+  }
+}
+
+TEST(ServeDaemon, LaneParseMatchesDirectEngineAtEveryFeedSize) {
+  // Timestamps run backwards right at a FEED-line boundary for every size
+  // below (4096 and 8192 are multiples of 1, 64 and 4096), so the clamp
+  // state must travel from one line to the next on the lane.
+  auto packets = make_packets(10000);
+  packets[4096].timestamp.usec = packets[4095].timestamp.usec - 500;
+  packets[8192].timestamp.usec = packets[8191].timestamp.usec - 1500;
+  const std::span<const trace::PacketRecord> all(packets);
+  const auto scored = clamped(packets);
+  const SessionSpec spec = small_spec();
+  const auto expected =
+      reference_rows(spec, std::span<const trace::PacketRecord>(scored));
+  ASSERT_FALSE(expected.empty());
+
+  for (const std::size_t per_line : {1, 64, 4096}) {
+    ServerHarness harness{ServeOptions{}};
+    TestClient client = harness.connect();
+    harness.run_async();
+    client.send("OPEN s " + encode_session_spec(spec));
+    EXPECT_EQ(client.next_line(), "OPENED s");
+    // Send from a second thread while this one reads: ten thousand lines
+    // one way and hundreds of ROWS the other fill both socket buffers, and
+    // a client that only reads once it has sent everything would wedge.
+    std::thread sender([&client, all, per_line] {
+      feed_all(client, "s", all, per_line);
+      client.send("CLOSE s");
+    });
+    const auto end = client.drain_session("s");
+    sender.join();
+    EXPECT_EQ(end.verdict, "CLOSED") << per_line;
+    EXPECT_EQ(end.detail, "rows=" + std::to_string(expected.size()) +
+                              " packets=" + std::to_string(packets.size()))
+        << per_line;
+    EXPECT_EQ(end.rows, expected) << "packets per FEED " << per_line;
+    client.transport->close();
+  }
+}
+
+TEST(ServeDaemon, MalformedFeedShedsOnTheLaneAfterTheFeedsAheadOfIt) {
+  const auto packets = make_packets(300);
+  const std::span<const trace::PacketRecord> all(packets);
+  const SessionSpec spec = small_spec();
+
+  // What the valid FEEDs ahead of the bad one emit: their window ticks,
+  // and no final window (the session never closes).
+  std::vector<std::string> ticks;
+  {
+    stream::Engine engine(session_lanes(spec), session_engine_options(spec));
+    engine.on_snapshot([&ticks](const stream::WindowScore& w) {
+      for (const auto& cells : session_row_cells(w)) {
+        ticks.push_back(json_line(session_row_columns(), cells));
+      }
+    });
+    engine.feed(all);
+  }
+  ASSERT_FALSE(ticks.empty());
+
+  ServerHarness harness{ServeOptions{}};
+  TestClient client = harness.connect();
+  harness.run_async();
+  client.send("OPEN bad " + encode_session_spec(spec));
+  client.send("OPEN good " + encode_session_spec(spec));
+  EXPECT_EQ(client.next_line(), "OPENED bad");
+  EXPECT_EQ(client.next_line(), "OPENED good");
+
+  feed_all(client, "bad", all, 100);
+  client.send("FEED bad 400000:12 400001:x");  // framed fine, parse fails
+  feed_all(client, "good", all, 100);
+  client.send("CLOSE good");
+  auto ends = client.drain_all({"bad", "good"});
+  EXPECT_EQ(ends["bad"].verdict, "SHED");
+  EXPECT_EQ(ends["bad"].detail, "input-error");
+  EXPECT_EQ(ends["bad"].rows, ticks);
+  EXPECT_EQ(ends["good"].verdict, "CLOSED");
+  EXPECT_EQ(ends["good"].rows, reference_rows(spec, all));
+  // The refusal is the shed alone: no ERROR line on the connection.
+  for (const auto& line : client.others) {
+    EXPECT_NE(line.rfind("ERROR", 0), 0u) << line;
+  }
+  client.transport->close();
+}
+
+TEST(ServeDaemon, FullRingPausesOnlyItsOwnConnection) {
+  if (!obs::detail::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (NETSAMPLE_OBS=OFF)";
+  }
+  obs::set_enabled(true);
+  obs::Counter& pauses = obs::registry().counter(
+      "netsample_serve_read_pauses_total",
+      obs::Determinism::kNondeterministic);
+  const std::uint64_t pauses_before = pauses.value();
+
+  const auto packets = make_packets(500);
+  const std::span<const trace::PacketRecord> all(packets);
+  SessionSpec flood_spec = small_spec();
+  flood_spec.ring_capacity = 1;
+  const SessionSpec calm_spec = small_spec();
+
+  ServeOptions options;
+  options.lanes = 1;
+  ServerHarness harness{std::move(options)};
+  TestClient flood = harness.connect();
+  TestClient calm = harness.connect();
+  harness.run_async();
+  flood.send("OPEN f " + encode_session_spec(flood_spec));
+  calm.send("OPEN c " + encode_session_spec(calm_spec));
+  EXPECT_EQ(flood.next_line(), "OPENED f");
+  EXPECT_EQ(calm.next_line(), "OPENED c");
+
+  // 500 one-packet FEED lines in one write, without waiting: the daemon
+  // reads them together and routes the next before the one lane can pop
+  // the session's one-line ring, so the connection pauses. Sent one line
+  // per write, a daemon that keeps up reads them one at a time and the
+  // lane empties the ring between reads.
+  std::string burst;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    burst += "FEED f " + encode_feed_payload(all.subspan(i, 1)) + "\n";
+  }
+  ASSERT_TRUE(flood.transport->write_bytes(burst));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pauses.value() == pauses_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GT(pauses.value(), pauses_before)
+      << "the flooded connection never paused";
+  // The protocol thread is not stuck behind the flood: the other
+  // connection's STATS is answered.
+  calm.send("STATS");
+  EXPECT_EQ(calm.wait_stats().rfind("STATS active=2 ", 0), 0u);
+
+  feed_all(calm, "c", all, 100);
+  calm.send("CLOSE c");
+  flood.send("CLOSE f");
+  const auto calm_end = calm.drain_session("c");
+  const auto flood_end = flood.drain_session("f");
+  EXPECT_EQ(calm_end.verdict, "CLOSED");
+  EXPECT_EQ(calm_end.rows, reference_rows(calm_spec, all));
+  EXPECT_EQ(flood_end.verdict, "CLOSED");
+  EXPECT_EQ(flood_end.rows, reference_rows(flood_spec, all));
+  flood.transport->close();
+  calm.transport->close();
+}
+
+TEST(ServeDaemon, ClientThatReadsOnlyAfterWritingIsShedNotWedged) {
+  // Every FEED (512 packets, about 7 KB a line) goes out before the client
+  // reads a line. Its unread ROWS soon block the lane's write, so no lane
+  // gives the connection's read-ahead back, and the daemon stops reading
+  // it long before the client is done writing. That wait is bounded like
+  // a full ring's: after kRingFullWait the session is shed ring-full, the
+  // rest of its FEEDs are read and dropped, and the client reaches its
+  // reads.
+  const auto packets = make_packets(512 * 400);
+  const std::span<const trace::PacketRecord> all(packets);
+  const SessionSpec spec = small_spec();
+  const auto expected = reference_rows(spec, all);
+
+  ServeOptions options;
+  options.lanes = 1;
+  ServerHarness harness{std::move(options)};
+  TestClient client = harness.connect();
+  harness.run_async();
+  client.send("OPEN s " + encode_session_spec(spec));
+  EXPECT_EQ(client.next_line(), "OPENED s");
+
+  std::atomic<bool> sent{false};
+  std::thread writer([&client, &sent, all] {
+    feed_all(client, "s", all, 512);
+    client.send("CLOSE s");
+    sent = true;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!sent && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(sent) << "the daemon stopped reading the connection for good";
+  const auto end = client.drain_session("s");  // frees a wedged writer too
+  writer.join();
+  EXPECT_EQ(end.verdict, "SHED");
+  EXPECT_EQ(end.detail, "ring-full");
+  // What was scored before the shed is the reference's beginning.
+  ASSERT_LE(end.rows.size(), expected.size());
+  EXPECT_TRUE(std::equal(end.rows.begin(), end.rows.end(), expected.begin()));
+  client.transport->close();
+}
+
+/// The test process's resident set, in KiB (VmRSS).
+std::size_t resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(4096, '\n');
+  }
+  return 0;
+}
+
+/// The next line within `timeout_ms`, or "" when none comes or the
+/// transport closed.
+std::string line_within(TestClient& client, int timeout_ms) {
+  pollfd ready{client.transport->poll_fd(), POLLIN, 0};
+  if (::poll(&ready, 1, timeout_ms) <= 0) return {};
+  std::string line;
+  return client.transport->read_line(&line) == shard::ReadResult::kLine ? line
+                                                                         : "";
+}
+
+TEST(ServeDaemon, NewlineFreeFloodIsRefusedWithinTheLineCap) {
+  std::signal(SIGPIPE, SIG_IGN);  // the daemon hangs up mid-flood
+  const auto packets = make_packets(300);
+  const std::span<const trace::PacketRecord> all(packets);
+  const SessionSpec spec = small_spec();
+
+  ServerHarness harness{ServeOptions{}};
+  TestClient flood = harness.connect();
+  TestClient calm = harness.connect();
+  harness.run_async();
+  flood.send("OPEN doomed " + encode_session_spec(spec));
+  EXPECT_EQ(flood.next_line(), "OPENED doomed");
+
+  // 32 MiB with no newline. The daemon refuses the line once it passes
+  // kMaxLineBytes, so it never holds more than about the cap plus one read
+  // window of it; an unbounded buffer would grow by the whole flood.
+  const std::size_t rss_before = resident_kib();
+  std::size_t rss_peak = rss_before;
+  const std::string block(64 << 10, 'x');
+  for (std::size_t sent = 0; sent < (std::size_t{32} << 20);
+       sent += block.size()) {
+    if (!flood.transport->write_bytes(block)) break;
+    rss_peak = std::max(rss_peak, resident_kib());
+  }
+  EXPECT_EQ(line_within(flood, 10000), "ERROR line too long");
+  // Then the daemon hangs up; the session's SHED may beat the hang-up.
+  std::string after = line_within(flood, 10000);
+  if (after == "SHED doomed disconnect") after = line_within(flood, 10000);
+  EXPECT_EQ(after, "");
+  EXPECT_LT(rss_peak - rss_before, std::size_t{8} << 10)
+      << "KiB of growth during a 32 MiB newline-free flood";
+
+  // The daemon keeps serving its other connection.
+  calm.send("OPEN s " + encode_session_spec(spec));
+  EXPECT_EQ(calm.next_line(), "OPENED s");
+  feed_all(calm, "s", all, 50);
+  calm.send("CLOSE s");
+  const auto end = calm.drain_session("s");
+  EXPECT_EQ(end.verdict, "CLOSED");
+  EXPECT_EQ(end.rows, reference_rows(spec, all));
+  flood.transport->close();
+  calm.transport->close();
+  harness.runner.join();
+  const ServeStats stats = harness.server.stats();
+  EXPECT_EQ(stats.sessions_shed, 1u);  // "doomed", on the disconnect
+  EXPECT_EQ(stats.sessions_closed, 1u);
+}
+
+TEST(ServeDaemon, OneByteAtATimeClientGetsTheSameRows) {
+  const auto packets = make_packets(400);
+  const std::span<const trace::PacketRecord> all(packets);
+  const SessionSpec spec = small_spec();
+
+  std::string script = "OPEN s " + encode_session_spec(spec) + "\n";
+  for (std::size_t at = 0; at < packets.size(); at += 80) {
+    script += "FEED s " + encode_feed_payload(all.subspan(at, 80)) + "\n";
+  }
+  script += "CLOSE s\n";
+
+  ServerHarness harness{ServeOptions{}};
+  TestClient client = harness.connect();
+  harness.run_async();
+  for (const char byte : script) {
+    ASSERT_TRUE(client.transport->write_bytes(std::string(1, byte)));
+  }
+  EXPECT_EQ(client.next_line(), "OPENED s");
+  const auto end = client.drain_session("s");
+  EXPECT_EQ(end.verdict, "CLOSED");
+  EXPECT_EQ(end.rows, reference_rows(spec, all));
   client.transport->close();
 }
 

@@ -608,7 +608,8 @@ int cmd_loadgen(ArgParser& args) {
   lopts.sessions = count_flag(args, "sessions", 1000000);
   lopts.connections = count_flag(args, "connections", 100000);
   lopts.seed_groups = count_flag(args, "seed-groups", 1000000);
-  lopts.feed_packets = count_flag(args, "feed-chunk", kMaxCount);
+  // A FEED line must fit the daemon's line cap at the widest tokens.
+  lopts.feed_packets = count_flag(args, "feed-chunk", serve::kMaxFeedPackets);
   if (lopts.sessions == 0 || lopts.connections == 0 ||
       lopts.seed_groups == 0 || lopts.feed_packets == 0) {
     throw std::invalid_argument(
