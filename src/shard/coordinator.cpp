@@ -1,6 +1,7 @@
 #include "shard/coordinator.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -163,9 +164,10 @@ class Coordinator {
     return c;
   }
 
-  /// Spawn (or respawn) one worker process into slots_[si]. In pipe mode
-  /// the wire exists immediately; in socket mode the slot waits for the
-  /// worker to dial back (awaiting, bounded by the reconnect window).
+  /// Spawn (or respawn) one worker process into slots_[si]. A local
+  /// worker's wire, one socketpair, exists immediately; in socket mode the
+  /// slot waits for the worker to dial back (awaiting, bounded by the
+  /// reconnect window).
   bool spawn_into(std::size_t si) {
     Slot& s = slots_[si];
     s = Slot{};
@@ -174,30 +176,23 @@ class Coordinator {
     const bool give_depart =
         !first_spawn_done_ && opts_.first_worker_depart_after >= 0;
 
-    int c2w[2] = {-1, -1};
-    int w2c[2] = {-1, -1};
-    if (!socket_mode_) {
-      if (::pipe(c2w) != 0) return false;
-      if (::pipe(w2c) != 0) {
-        ::close(c2w[0]);
-        ::close(c2w[1]);
-        return false;
-      }
+    // [0] is the coordinator's end, [1] the worker's.
+    int wire[2] = {-1, -1};
+    if (!socket_mode_ &&
+        ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, wire) != 0) {
+      return false;
     }
 
     const pid_t pid = ::fork();
     if (pid < 0) {
-      if (!socket_mode_) {
-        ::close(c2w[0]);
-        ::close(c2w[1]);
-        ::close(w2c[0]);
-        ::close(w2c[1]);
+      for (const int fd : wire) {
+        if (fd >= 0) ::close(fd);
       }
       return false;
     }
     if (pid == 0) {
       // Child. Drop every parent-side descriptor we inherited — our own
-      // pipe's far ends (so EOF propagates), every sibling wire and exit
+      // wire's far end (so EOF propagates), every sibling wire and exit
       // descriptor, and the listener — so a sibling's death is visible to
       // the coordinator as EOF and nobody but the coordinator can accept().
       std::vector<int> parent_fds;
@@ -209,10 +204,7 @@ class Coordinator {
       for (const auto& pc : pending_conns_) {
         pc.chan->append_fds(&parent_fds);
       }
-      if (!socket_mode_) {
-        parent_fds.push_back(c2w[1]);
-        parent_fds.push_back(w2c[0]);
-      }
+      if (wire[0] >= 0) parent_fds.push_back(wire[0]);
       for (const int fd : parent_fds) ::close(fd);
 
       if (!opts_.worker_command.empty()) {
@@ -240,10 +232,9 @@ class Coordinator {
           argv_s.push_back(std::to_string(opts_.first_worker_depart_after));
         }
         if (!socket_mode_) {
-          ::dup2(c2w[0], STDIN_FILENO);
-          ::dup2(w2c[1], STDOUT_FILENO);
-          ::close(c2w[0]);
-          ::close(w2c[1]);
+          // dup2 clears close-on-exec: the wire survives as stdin/stdout.
+          ::dup2(wire[1], STDIN_FILENO);
+          ::dup2(wire[1], STDOUT_FILENO);
         }
         std::vector<char*> argv;
         argv.reserve(argv_s.size() + 1);
@@ -261,17 +252,10 @@ class Coordinator {
       if (give_depart) {
         wopts.depart_after_cells = opts_.first_worker_depart_after;
       }
-      Status st;
-      if (socket_mode_) {
-        wopts.connect = listen_addr_;
-        wopts.connect_retries = opts_.connect_retries;
-        st = run_socket_worker(wopts);
-      } else {
-        std::FILE* fin = ::fdopen(c2w[0], "r");
-        std::FILE* fout = ::fdopen(w2c[1], "w");
-        if (fin == nullptr || fout == nullptr) ::_exit(127);
-        st = run_worker(wopts, fin, fout);
-      }
+      wopts.connect = listen_addr_;
+      wopts.connect_retries = opts_.connect_retries;
+      const Status st = socket_mode_ ? run_socket_worker(wopts)
+                                     : run_worker(wopts, wire[1], wire[1]);
       ::_exit(st.is_ok() ? 0 : 70);
     }
 
@@ -286,9 +270,8 @@ class Coordinator {
       s.awaiting = true;
       s.awaiting_deadline = Clock::now() + window_dur();
     } else {
-      ::close(c2w[0]);
-      ::close(w2c[1]);
-      attach(s, make_fd_transport(w2c[0], c2w[1], max_line_));
+      ::close(wire[1]);
+      attach(s, make_fd_transport(wire[0], wire[0], max_line_));
     }
     return true;
   }
@@ -387,10 +370,10 @@ class Coordinator {
     }
   }
 
-  /// The wire died. Pipes cannot come back — that is a death. A socket
-  /// worker whose process (or remote peer) may still be alive gets a
-  /// reconnect window; its leases are reassigned NOW (someone else can
-  /// run them; a duplicate result is discarded by cell state).
+  /// The wire died. A local socketpair cannot be redialed — that is a
+  /// death. A socket worker whose process (or remote peer) may still be
+  /// alive gets a reconnect window; its leases are reassigned NOW (someone
+  /// else can run them; a duplicate result is discarded by cell state).
   void on_disconnect(Slot& s) {
     if (s.chan) {
       s.chan->close();
@@ -713,6 +696,42 @@ class Coordinator {
     return static_cast<int>(std::min(ms + 1.0, 60000.0));
   }
 
+  // ---- event loops -----------------------------------------------------
+
+  /// What a polled descriptor belongs to.
+  enum class Polled { kListener, kPending, kSlot, kExit };
+
+  struct PollSet {
+    std::vector<pollfd> fds;
+    std::vector<std::pair<Polled, std::size_t>> owners;  // parallel to fds
+
+    void add(int fd, Polled kind, std::size_t ref) {
+      fds.push_back(pollfd{fd, POLLIN, 0});
+      owners.emplace_back(kind, ref);
+    }
+  };
+
+  /// What both event loops wait on: the listener, every pending
+  /// connection, every connected wire, and every live child's exit. A
+  /// socket worker's death leaves no EOF to wake on while its slot awaits
+  /// a reconnect, and once the wires hit EOF at shutdown the set may hold
+  /// nothing else; children are reaped at the top of either loop.
+  PollSet poll_set() const {
+    PollSet set;
+    if (listener_.fd() >= 0) set.add(listener_.fd(), Polled::kListener, 0);
+    for (std::size_t i = 0; i < pending_conns_.size(); ++i) {
+      set.add(pending_conns_[i].chan->poll_fd(), Polled::kPending, i);
+    }
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const Slot& s = slots_[i];
+      if (connected(s)) set.add(s.chan->poll_fd(), Polled::kSlot, i);
+      if (s.proc_alive && s.exit_fd >= 0) {
+        set.add(s.exit_fd, Polled::kExit, i);
+      }
+    }
+    return set;
+  }
+
   // ---- shutdown --------------------------------------------------------
 
   /// Orderly shutdown: STOP every connected worker, keep accepting and
@@ -746,36 +765,9 @@ class Coordinator {
       for (const auto& s : slots_) any_proc = any_proc || s.proc_alive;
       if (!any_proc) break;
 
-      std::vector<pollfd> fds;
-      // 0 = listener, 1 = pending, 2 = slot, 3 = child exit
-      std::vector<int> kinds;
-      std::vector<std::size_t> refs;
-      if (socket_mode_ && listener_.fd() >= 0) {
-        fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-        kinds.push_back(0);
-        refs.push_back(0);
-      }
-      for (std::size_t i = 0; i < pending_conns_.size(); ++i) {
-        fds.push_back(pollfd{pending_conns_[i].chan->poll_fd(), POLLIN, 0});
-        kinds.push_back(1);
-        refs.push_back(i);
-      }
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (connected(slots_[i])) {
-          fds.push_back(pollfd{slots_[i].chan->poll_fd(), POLLIN, 0});
-          kinds.push_back(2);
-          refs.push_back(i);
-        }
-        // Once a wire hits EOF the set may hold nothing else; waking on
-        // the exit itself keeps the poll from sleeping its whole timeout
-        // after the last worker has gone.
-        if (slots_[i].proc_alive && slots_[i].exit_fd >= 0) {
-          fds.push_back(pollfd{slots_[i].exit_fd, POLLIN, 0});
-          kinds.push_back(3);
-          refs.push_back(i);
-        }
-      }
-      const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+      PollSet set = poll_set();
+      const int rc =
+          ::poll(set.fds.data(), static_cast<nfds_t>(set.fds.size()), 50);
       if (rc < 0 && errno != EINTR) break;
       if (rc == 0 && obs::enabled()) {
         // Slept the whole timeout with a child still unreaped: a sweep
@@ -787,9 +779,10 @@ class Coordinator {
       }
 
       std::vector<std::size_t> dead_pending;
-      for (std::size_t f = 0; f < fds.size(); ++f) {
-        if (fds[f].revents == 0) continue;
-        if (kinds[f] == 0) {
+      for (std::size_t f = 0; f < set.fds.size(); ++f) {
+        if (set.fds[f].revents == 0) continue;
+        const auto [kind, ref] = set.owners[f];
+        if (kind == Polled::kListener) {
           // A straggler mid-redial: greet it with STOP so it exits.
           while (auto conn = listener_.accept_connection(max_line_)) {
             (void)conn->write_line(stop_line);
@@ -797,14 +790,14 @@ class Coordinator {
             pending_conns_.push_back(PendingConn{
                 std::move(conn), Clock::now() + std::chrono::seconds(2)});
           }
-        } else if (kinds[f] == 1) {
+        } else if (kind == Polled::kPending) {
           std::vector<std::string> lines;
-          const ReadResult r = pending_conns_[refs[f]].chan->drain(&lines);
+          const ReadResult r = pending_conns_[ref].chan->drain(&lines);
           if (r == ReadResult::kClosed || r == ReadResult::kTooLong) {
-            dead_pending.push_back(refs[f]);
+            dead_pending.push_back(ref);
           }
-        } else if (kinds[f] == 2) {
-          Slot& s = slots_[refs[f]];
+        } else if (kind == Polled::kSlot) {
+          Slot& s = slots_[ref];
           std::vector<std::string> lines;
           const ReadResult r = s.chan->drain(&lines);
           if (r == ReadResult::kClosed || r == ReadResult::kTooLong) {
@@ -990,38 +983,11 @@ StatusOr<ShardReport> Coordinator::run() {
     }
     if (done_count_ == n_) break;
 
-    std::vector<pollfd> fds;
-    // 0 = listener, 1 = pending conn, 2 = slot, 3 = child exit
-    std::vector<int> kinds;
-    std::vector<std::size_t> refs;
-    if (socket_mode_ && listener_.fd() >= 0) {
-      fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-      kinds.push_back(0);
-      refs.push_back(0);
-    }
-    for (std::size_t i = 0; i < pending_conns_.size(); ++i) {
-      fds.push_back(pollfd{pending_conns_[i].chan->poll_fd(), POLLIN, 0});
-      kinds.push_back(1);
-      refs.push_back(i);
-    }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (connected(slots_[i])) {
-        fds.push_back(pollfd{slots_[i].chan->poll_fd(), POLLIN, 0});
-        kinds.push_back(2);
-        refs.push_back(i);
-      }
-      // A socket worker's death leaves no EOF to wake on while its slot
-      // awaits a reconnect; its exit is reaped at the top of the loop.
-      if (slots_[i].proc_alive && slots_[i].exit_fd >= 0) {
-        fds.push_back(pollfd{slots_[i].exit_fd, POLLIN, 0});
-        kinds.push_back(3);
-        refs.push_back(i);
-      }
-    }
-    if (fds.empty() && timeout_ms < 0) continue;  // state changed above
+    PollSet set = poll_set();
+    if (set.fds.empty() && timeout_ms < 0) continue;  // state changed above
 
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+    const int rc = ::poll(set.fds.data(),
+                          static_cast<nfds_t>(set.fds.size()), timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return Status(StatusCode::kInternal,
@@ -1029,30 +995,31 @@ StatusOr<ShardReport> Coordinator::run() {
     }
 
     std::vector<std::size_t> closed_pending;
-    for (std::size_t f = 0; f < fds.size(); ++f) {
-      if (fds[f].revents == 0) continue;
-      if (kinds[f] == 0) {
+    for (std::size_t f = 0; f < set.fds.size(); ++f) {
+      if (set.fds[f].revents == 0) continue;
+      const auto [kind, ref] = set.owners[f];
+      if (kind == Polled::kListener) {
         while (auto conn = listener_.accept_connection(max_line_)) {
           pending_conns_.push_back(
               PendingConn{std::move(conn), Clock::now() + window_dur()});
         }
         continue;
       }
-      if (kinds[f] == 1) {
-        PendingConn& pc = pending_conns_[refs[f]];
+      if (kind == Polled::kPending) {
+        PendingConn& pc = pending_conns_[ref];
         std::vector<std::string> lines;
         const ReadResult r = pc.chan->drain(&lines);
         if (!lines.empty()) {
           bind_pending(std::move(pc.chan), std::move(lines), r);
-          closed_pending.push_back(refs[f]);
+          closed_pending.push_back(ref);
         } else if (r == ReadResult::kClosed || r == ReadResult::kTooLong) {
           pc.chan->close();
-          closed_pending.push_back(refs[f]);
+          closed_pending.push_back(ref);
         }
         continue;
       }
-      if (kinds[f] == 3) continue;  // reaped at the top of the loop
-      Slot& s = slots_[refs[f]];
+      if (kind == Polled::kExit) continue;  // reaped at the top of the loop
+      Slot& s = slots_[ref];
       if (!connected(s)) continue;
       std::vector<std::string> lines;
       const ReadResult r = s.chan->drain(&lines);

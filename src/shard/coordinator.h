@@ -2,12 +2,12 @@
 //
 // One coordinator process owns the grid, the checkpoint journal, and N
 // worker processes. Work is handed out as LEASEs (grid indices) over a
-// Transport — the PR 7 pipe pair, or a TCP socket so workers can live on
-// other machines — and results stream back and are committed to the
-// journal BY THE COORDINATOR ONLY, in task order. Workers are stateless,
-// so the exactly-once contract reduces to "a cell is journaled exactly
-// when its RESULT was first accepted", and every failure mode collapses
-// into reassignment:
+// Transport — a socketpair per locally spawned worker, or a TCP socket so
+// workers can live on other machines — and results stream back and are
+// committed to the journal BY THE COORDINATOR ONLY, in task order.
+// Workers are stateless, so the exactly-once contract reduces to "a cell
+// is journaled exactly when its RESULT was first accepted", and every
+// failure mode collapses into reassignment:
 //
 //   worker killed            EOF / reaped        leases requeued at front
 //   wire lost (socket)       EOF                 leases requeued; worker may
@@ -46,7 +46,7 @@
 namespace netsample::shard {
 
 enum class TransportKind {
-  kPipe,    // fork/exec children over pipe pairs (PR 7 semantics)
+  kPipe,    // fork/exec children, one socketpair each; EOF is death
   kSocket,  // TCP: coordinator listens, workers dial (and redial)
 };
 
@@ -63,7 +63,8 @@ struct CoordinatorOptions {
   exper::CheckpointJournal* journal{nullptr};
   /// argv for exec'd workers (argv[0] is the binary; "--store"/"--store-
   /// backend" — plus "--connect"/"--connect-retries"/"--netfault" in socket
-  /// mode — are appended). Empty selects fork-only mode: the child calls
+  /// mode — are appended); a local worker has its socketpair end as
+  /// stdin/stdout. Empty selects fork-only mode: the child calls
   /// run_worker / run_socket_worker directly with no exec.
   std::vector<std::string> worker_command;
   /// Deterministic chaos: after accepting this many RESULTs, SIGKILL one

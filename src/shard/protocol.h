@@ -1,10 +1,10 @@
 // Coordinator <-> worker line protocol.
 //
-// One newline-terminated ASCII message per line over a pair of pipes (or
-// any byte stream — the transport is whatever spawned the worker). The
-// coordinator is the only journal writer; workers are stateless lease
-// executors, so the exactly-once story lives entirely on the coordinator
-// side (docs/SHARDING.md).
+// One newline-terminated ASCII message per line over a fd transport's
+// bounded framer (shard/transport.h): a socketpair per locally spawned
+// worker, or a TCP connection. The coordinator is the only journal writer;
+// workers are stateless lease executors, so the exactly-once story lives
+// entirely on the coordinator side (docs/SHARDING.md).
 //
 //   coordinator -> worker
 //     SPEC <encoded-sweep-spec>     the grid to rebuild (grid.h codec)
@@ -15,8 +15,10 @@
 //   worker -> coordinator
 //     HELLO pid=<pid> packets=<n> builds=<b> maps=<m>
 //                                   store opened; b/m are the worker's
-//                                   trace-cache build/map counters (the
-//                                   zero-re-binning assertion: b == 0).
+//                                   trace-cache builds/maps since it
+//                                   started, never a forking parent's
+//                                   (the zero-re-binning assertion:
+//                                   b == 0).
 //                                   Re-sent after a reconnect — the pid is
 //                                   the worker's stable identity, so the
 //                                   coordinator rebinds the new connection

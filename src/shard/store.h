@@ -23,8 +23,10 @@
 //
 // Everything is written in host byte order; open() rejects (kDataLoss →
 // exit 65 at the CLI) any store whose endianness tag, format version,
-// record size, checksum, section table, or total size does not match —
-// a truncated or foreign store never gets half-used.
+// record size, header checksum, section table, or total size does not
+// match, and any whose size-bin or gap-bin section holds an id at or past
+// its bin count — a truncated or foreign store never gets half-used, and
+// no id can index past a histogram. The other sections are not checked.
 #pragma once
 
 #include <cstddef>

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string_view>
@@ -110,9 +109,10 @@ class LineFramer {
   bool too_long_{false};
 };
 
-/// The fd-pair transport behind both pipe mode (rfd != wfd) and socket
-/// mode (rfd == wfd). Line framing and the discard-partial-on-close rule
-/// live here, shared by every wire.
+/// The transport behind every wire: one socket (rfd == wfd: a socketpair
+/// end, a TCP connection) or a worker's stdin/stdout (rfd != wfd). Line
+/// framing and the discard-partial-on-close rule live here, shared by
+/// every wire.
 class FdTransport final : public Transport {
  public:
   FdTransport(int read_fd, int write_fd, std::size_t max_line)
@@ -234,81 +234,11 @@ class FdTransport final : public Transport {
   LineFramer framer_;
 };
 
-/// Stdio transport: the exec'd-worker stdin/stdout path and the tmpfile
-/// unit tests. Blocking-read only; does not own the streams.
-class StdioTransport final : public Transport {
- public:
-  StdioTransport(std::FILE* in, std::FILE* out) : in_(in), out_(out) {}
-
-  [[nodiscard]] int poll_fd() const override { return ::fileno(in_); }
-
-  [[nodiscard]] bool write_line(const std::string& line) override {
-    return write_bytes(line + "\n");
-  }
-
-  [[nodiscard]] bool write_bytes(const std::string& bytes) override {
-    if (closed_) return false;
-    if (std::fwrite(bytes.data(), 1, bytes.size(), out_) != bytes.size() ||
-        std::fflush(out_) != 0) {
-      closed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] ReadResult read_line(std::string* line) override {
-    if (closed_) return ReadResult::kClosed;
-    char* buf = nullptr;
-    std::size_t cap = 0;
-    errno = 0;
-    const ssize_t n = ::getline(&buf, &cap, in_);
-    if (n < 0) {
-      std::free(buf);
-      if (errno == EINTR) {
-        std::clearerr(in_);
-        return ReadResult::kInterrupted;
-      }
-      closed_ = true;
-      return ReadResult::kClosed;
-    }
-    line->assign(buf, static_cast<std::size_t>(n));
-    std::free(buf);
-    while (!line->empty() &&
-           (line->back() == '\n' || line->back() == '\r')) {
-      line->pop_back();
-    }
-    return ReadResult::kLine;
-  }
-
-  [[nodiscard]] ReadResult drain(std::vector<std::string>*) override {
-    return ReadResult::kNoData;  // worker side never drains
-  }
-
-  void shutdown_write() override {
-    (void)std::fflush(out_);
-    closed_ = true;
-  }
-
-  void close() override { closed_ = true; }
-  [[nodiscard]] bool is_closed() const override { return closed_; }
-  void append_fds(std::vector<int>*) const override {}
-
- private:
-  std::FILE* in_;
-  std::FILE* out_;
-  bool closed_{false};
-};
-
 }  // namespace
 
 std::unique_ptr<Transport> make_fd_transport(int read_fd, int write_fd,
                                              std::size_t max_line) {
   return std::make_unique<FdTransport>(read_fd, write_fd, max_line);
-}
-
-std::unique_ptr<Transport> make_stdio_transport(std::FILE* in,
-                                                std::FILE* out) {
-  return std::make_unique<StdioTransport>(in, out);
 }
 
 StatusOr<std::pair<std::string, int>> parse_host_port(

@@ -1,11 +1,13 @@
 // Byte transports for the coordinator <-> worker line protocol.
 //
-// PR 7 spoke the lease protocol over a pipe pair; this header makes "how
-// lines travel" a seam. A Transport is one bidirectional, ordered,
-// newline-framed byte channel. Two real implementations exist:
+// This header makes "how lines travel" a seam. A Transport is one
+// bidirectional, ordered, newline-framed byte channel. One real
+// implementation exists, a fd transport (make_fd_transport), under every
+// wire:
 //
-//   pipe    the PR 7 pair of pipe fds (or a connected socketpair) — what
-//           fork-only and exec'd stdin/stdout workers use;
+//   local   a socketpair per locally spawned worker: the fork-only child
+//           reads its end, an exec'd `netsample worker` has it as
+//           stdin/stdout (`--transport pipe`, the default);
 //   socket  one TCP connection, so workers can live on other machines
 //           (`netsample sweep --transport socket --listen HOST:PORT`,
 //           `netsample worker --connect HOST:PORT`).
@@ -35,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -102,17 +103,12 @@ class Transport {
   virtual void append_fds(std::vector<int>* out) const = 0;
 };
 
-/// A transport over a read fd + write fd pair (rfd == wfd for sockets;
-/// distinct fds for a pipe pair). Takes ownership of both. It delivers no
-/// line longer than `max_line` bytes, newline excluded: the first longer
-/// one ends its reads with kTooLong.
+/// A transport over a read fd + write fd pair (rfd == wfd for a socket;
+/// distinct fds for a worker's stdin/stdout). Takes ownership of both. It
+/// delivers no line longer than `max_line` bytes, newline excluded: the
+/// first longer one ends its reads with kTooLong.
 [[nodiscard]] std::unique_ptr<Transport> make_fd_transport(
     int read_fd, int write_fd, std::size_t max_line);
-
-/// A transport over stdio streams (worker exec mode: stdin/stdout). Does
-/// NOT own the FILEs; drain() is unsupported (workers only block-read).
-[[nodiscard]] std::unique_ptr<Transport> make_stdio_transport(std::FILE* in,
-                                                              std::FILE* out);
 
 /// Split "host:port" (last ':' wins, so a future v6 literal can carry
 /// colons). Port must be numeric in [0, 65535]; 0 is only meaningful for

@@ -48,82 +48,48 @@ class SigtermGuard {
   struct sigaction old_{};
 };
 
-/// Forwards to a Transport the caller owns (pipe/stdio mode), so the
-/// netfault wrapper — which owns its inner transport — can wrap it.
-class BorrowedTransport final : public Transport {
- public:
-  explicit BorrowedTransport(Transport& inner) : inner_(inner) {}
-  [[nodiscard]] int poll_fd() const override { return inner_.poll_fd(); }
-  [[nodiscard]] bool write_line(const std::string& line) override {
-    return inner_.write_line(line);
-  }
-  [[nodiscard]] bool write_bytes(const std::string& bytes) override {
-    return inner_.write_bytes(bytes);
-  }
-  [[nodiscard]] ReadResult read_line(std::string* line) override {
-    return inner_.read_line(line);
-  }
-  [[nodiscard]] ReadResult drain(std::vector<std::string>* lines) override {
-    return inner_.drain(lines);
-  }
-  void shutdown_write() override { inner_.shutdown_write(); }
-  void close() override { inner_.close(); }
-  [[nodiscard]] bool is_closed() const override { return inner_.is_closed(); }
-  void append_fds(std::vector<int>* out) const override {
-    inner_.append_fds(out);
-  }
-
- private:
-  Transport& inner_;
-};
-
 std::uint64_t counter_value(const char* name) {
   if (!obs::enabled()) return 0;
   return obs::registry().counter(name).value();
 }
 
-/// One worker run: the protocol loop plus (in socket mode) the
+/// The trace-cache counters a HELLO reports, read when constructed. A
+/// fork-only child inherits its parent's registry, so a run reports how
+/// far they moved since it began, never their process-wide totals.
+struct CacheCounts {
+  std::uint64_t builds{counter_value("netsample_trace_cache_builds_total")};
+  std::uint64_t maps{counter_value("netsample_trace_cache_maps_total")};
+};
+
+/// One worker run: the protocol loop plus (on a dialed wire) the
 /// reconnect machinery. The TraceStore is opened exactly once per process
 /// no matter how often the wire flaps — zero re-binning holds through
 /// every reconnect, and the HELLO counters are reported once.
 class WorkerSession {
  public:
-  WorkerSession(const WorkerOptions& opts, const TraceStore& store)
-      : opts_(opts), store_(store) {}
+  WorkerSession(const WorkerOptions& opts, const TraceStore& store,
+                const CacheCounts& start)
+      : opts_(opts), store_(store), start_(start) {}
 
-  Status run_fixed(Transport& transport) {
-    fixed_ = &transport;
-    if (!opts_.netfault.empty()) {
-      auto spec = faultsim::parse_netfault_spec(opts_.netfault);
-      if (!spec.has_value()) return spec.status();
-      fault_ = std::make_unique<faultsim::NetFaultTransport>(
-          *spec, std::make_unique<BorrowedTransport>(transport));
-    }
-    if (!hello_and_flush()) {
-      return Status(StatusCode::kInternal, "worker: coordinator pipe closed");
-    }
-    return loop();
-  }
-
-  Status run_dialing() {
-    socket_mode_ = true;
+  /// Run over `local`, or over a dial of opts.connect when it is null.
+  Status run(std::unique_ptr<Transport> local) {
     if (!opts_.netfault.empty()) {
       auto spec = faultsim::parse_netfault_spec(opts_.netfault);
       if (!spec.has_value()) return spec.status();
       fault_ = std::make_unique<faultsim::NetFaultTransport>(*spec, nullptr);
     }
-    if (!reconnect()) {
+    dialed_ = local == nullptr;
+    if (dialed_ ? !reconnect() : !attach(std::move(local))) {
       return Status(StatusCode::kInternal,
-                    "worker: cannot reach coordinator at " + opts_.connect);
+                    dialed_ ? "worker: cannot reach coordinator at " +
+                                  opts_.connect
+                            : "worker: coordinator wire closed");
     }
     return loop();
   }
 
  private:
-  Transport* wire() {
-    if (fault_) return fault_.get();
-    return socket_mode_ ? owned_.get() : fixed_;
-  }
+  Transport& wire() { return fault_ ? *fault_ : *conn_; }
 
   Message hello_message() const {
     Message hello;
@@ -131,9 +97,9 @@ class WorkerSession {
     hello.pid = static_cast<std::uint64_t>(::getpid());
     hello.packets = store_.packet_count();
     if (obs::enabled()) {
-      hello.cache_builds =
-          counter_value("netsample_trace_cache_builds_total");
-      hello.cache_maps = counter_value("netsample_trace_cache_maps_total");
+      const CacheCounts now;
+      hello.cache_builds = now.builds - start_.builds;
+      hello.cache_maps = now.maps - start_.maps;
     } else {
       hello.cache_builds = 0;
       hello.cache_maps = store_.cache().mapped() ? 1 : 0;
@@ -141,63 +107,48 @@ class WorkerSession {
     return hello;
   }
 
-  /// HELLO, then whatever replies a dead wire left queued. Replayed
-  /// RESULTs for cells the coordinator already committed are discarded
-  /// there (dedupe), never double-committed.
-  bool hello_and_flush() {
-    Transport* w = wire();
-    if (w == nullptr) return false;
-    if (!w->write_line(format_message(hello_message()))) return false;
+  /// Make `conn` the wire (behind the fault schedule, if any), then HELLO
+  /// and whatever replies a dead wire left queued. Replayed RESULTs for
+  /// cells the coordinator already committed are discarded there
+  /// (dedupe), never double-committed.
+  bool attach(std::unique_ptr<Transport> conn) {
+    if (fault_) {
+      fault_->rebind(std::move(conn));
+    } else {
+      conn_ = std::move(conn);
+    }
+    if (!wire().write_line(format_message(hello_message()))) return false;
     return flush_queued();
   }
 
   bool flush_queued() {
-    Transport* w = wire();
     while (!queued_.empty()) {
-      if (w == nullptr || !w->write_line(queued_.front())) return false;
+      if (!wire().write_line(queued_.front())) return false;
       queued_.pop_front();
     }
     return true;
   }
 
-  /// (Re)dial in socket mode. dial() already applies the capped
-  /// exponential backoff + jitter across its attempts; the outer loop
-  /// bounds how many times a handshake may die mid-replay before we give
-  /// up on this wire for good.
+  /// (Re)dial opts.connect. dial() already applies the capped exponential
+  /// backoff + jitter across its attempts; the outer loop bounds how many
+  /// times a handshake may die mid-replay before we give up on this wire
+  /// for good.
   bool reconnect() {
-    if (!socket_mode_) return false;
     for (int attempt = 0; attempt < 4; ++attempt) {
       DialOptions dopts;
       dopts.retries = opts_.connect_retries;
       auto conn = dial(opts_.connect, dopts);
       if (!conn.has_value()) return false;
-      if (fault_) {
-        fault_->rebind(std::move(*conn));
-      } else {
-        owned_ = std::move(*conn);
-      }
-      if (attempt > 0 || hello_sent_) ++reconnects_;
-      if (hello_and_flush()) {
-        hello_sent_ = true;
-        return true;
-      }
+      if (attach(std::move(*conn))) return true;
     }
     return false;
-  }
-
-  /// Wire died mid-loop: pipes shut down in order, sockets redial.
-  enum class LostWire { kOrderly, kRecovered, kFatal };
-  LostWire lost_wire() {
-    if (!socket_mode_) return LostWire::kOrderly;  // pipe EOF = shutdown
-    return reconnect() ? LostWire::kRecovered : LostWire::kFatal;
   }
 
   Status depart() {
     Message bye;
     bye.type = MessageType::kBye;
     bye.cells = cells_done_;
-    Transport* w = wire();
-    if (w != nullptr) (void)w->write_line(format_message(bye));
+    (void)wire().write_line(format_message(bye));
     return Status::ok();
   }
 
@@ -247,30 +198,19 @@ class WorkerSession {
     std::string line;
     while (true) {
       if (g_sigterm != 0) return depart();
-      Transport* w = wire();
-      if (w == nullptr || w->is_closed()) {
-        switch (lost_wire()) {
-          case LostWire::kOrderly: return Status::ok();
-          case LostWire::kRecovered: continue;
-          case LostWire::kFatal:
-            return Status(StatusCode::kInternal,
-                          "worker: lost coordinator (redial budget spent)");
-        }
-      }
-      const ReadResult r = w->read_line(&line);
+      const ReadResult r = wire().is_closed() ? ReadResult::kClosed
+                                              : wire().read_line(&line);
       if (r == ReadResult::kInterrupted) continue;  // SIGTERM checked on top
-      if (r != ReadResult::kLine) {
-        switch (lost_wire()) {
-          case LostWire::kOrderly: return Status::ok();
-          case LostWire::kRecovered: continue;
-          case LostWire::kFatal:
-            return Status(StatusCode::kInternal,
-                          "worker: lost coordinator (redial budget spent)");
-        }
+      if (r == ReadResult::kClosed) {
+        // A local wire cannot come back: EOF is the orderly shutdown.
+        if (!dialed_) return Status::ok();
+        if (reconnect()) continue;
+        return Status(StatusCode::kInternal,
+                      "worker: lost coordinator (redial budget spent)");
       }
-      if (line.empty()) continue;
+      if (r == ReadResult::kLine && line.empty()) continue;
       Message msg;
-      if (!parse_message(line, &msg)) {
+      if (r != ReadResult::kLine || !parse_message(line, &msg)) {
         return Status(StatusCode::kInvalidArgument,
                       "worker: malformed coordinator message");
       }
@@ -290,8 +230,7 @@ class WorkerSession {
           Message pong;
           pong.type = MessageType::kPong;
           pong.index = msg.index;
-          Transport* pw = wire();
-          if (pw != nullptr) (void)pw->write_line(format_message(pong));
+          (void)wire().write_line(format_message(pong));
           break;
         }
         case MessageType::kLease: {
@@ -324,43 +263,38 @@ class WorkerSession {
 
   const WorkerOptions& opts_;
   const TraceStore& store_;
-  Transport* fixed_{nullptr};                            // pipe/stdio mode
-  std::unique_ptr<Transport> owned_;                     // socket mode
-  std::unique_ptr<faultsim::NetFaultTransport> fault_;   // optional wrapper
-  bool socket_mode_{false};
-  bool hello_sent_{false};
-  std::uint64_t reconnects_{0};
+  const CacheCounts start_;  // the counters when this run began
+  std::unique_ptr<Transport> conn_;  // the wire, when no fault_ wraps it
+  std::unique_ptr<faultsim::NetFaultTransport> fault_;  // optional wrapper
+  bool dialed_{false};  // opts.connect: a lost wire redials
   std::deque<std::string> queued_;  // replies not yet written to a live wire
   SweepSpec spec_;
   std::vector<exper::GridTask> grid_;
   std::uint64_t cells_done_{0};
 };
 
-Status run_worker_common(const WorkerOptions& opts, Transport* fixed) {
+Status run_worker_common(const WorkerOptions& opts,
+                         std::unique_ptr<Transport> local) {
   // A coordinator that died mid-read must surface as a write error, not a
   // process-killing SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
   SigtermGuard sigterm;
+  const CacheCounts start;
 
   StoreBackend& backend = store_backend(opts.backend);
   auto opened = TraceStore::open(opts.store_path, backend);
   if (!opened.has_value()) return opened.status();
   const TraceStore store = std::move(*opened);
 
-  WorkerSession session(opts, store);
-  if (fixed != nullptr) return session.run_fixed(*fixed);
-  return session.run_dialing();
+  WorkerSession session(opts, store, start);
+  return session.run(std::move(local));
 }
 
 }  // namespace
 
-Status run_worker(const WorkerOptions& opts, std::FILE* in, std::FILE* out) {
-  auto transport = make_stdio_transport(in, out);
-  return run_worker_common(opts, transport.get());
-}
-
-Status run_worker(const WorkerOptions& opts, Transport& transport) {
-  return run_worker_common(opts, &transport);
+Status run_worker(const WorkerOptions& opts, int read_fd, int write_fd) {
+  return run_worker_common(
+      opts, make_fd_transport(read_fd, write_fd, kDefaultMaxLine));
 }
 
 Status run_socket_worker(const WorkerOptions& opts) {

@@ -9,10 +9,12 @@
 // the journal, so a worker can be SIGKILL'd at any instant and the sweep
 // still completes exactly-once.
 //
-// Three entry points share one loop:
-//   - run_worker(opts, in, out): pipes/stdio — the body of a fork-only
-//     child and of `netsample worker` without --connect;
-//   - run_worker(opts, transport): any Transport (tests, custom wires);
+// Two entry points, one per wire origin, share one loop, and both read
+// through the fd transport's bounded line framer (docs/FORMATS.md §5):
+//   - run_worker(opts, read_fd, write_fd): a connected local wire — the
+//     socketpair end of a fork-only child, or the stdin/stdout of
+//     `netsample worker` without --connect (the same socketpair end when
+//     the coordinator execs it);
 //   - run_socket_worker(opts): dial --connect HOST:PORT, with automatic
 //     reconnection — capped exponential backoff + jitter, an idempotent
 //     re-HELLO, and a bounded replay of the most recent RESULT lines so a
@@ -22,21 +24,19 @@
 // Failure behavior on the worker side of the model:
 //   - SIGTERM: finish or abandon the in-flight read, send BYE, exit clean
 //     (the coordinator logs a departure, not a death);
-//   - wire lost in socket mode: redial within the retry budget, re-HELLO,
-//     replay unacknowledged results, continue; budget exhausted is
-//     kInternal (exit 70);
-//   - wire lost in pipe mode: there is nothing to redial — orderly EOF
-//     shutdown exactly as before.
+//   - dialed wire lost: redial within the retry budget, re-HELLO, replay
+//     unacknowledged results, continue; budget exhausted is kInternal
+//     (exit 70);
+//   - local wire lost: there is nothing to redial — EOF is an orderly
+//     shutdown;
+//   - a malformed or over-long coordinator line: kInvalidArgument.
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 #include "util/status.h"
 
 namespace netsample::shard {
-
-class Transport;
 
 struct WorkerOptions {
   std::string store_path;
@@ -59,17 +59,14 @@ struct WorkerOptions {
   std::string netfault;
 };
 
-/// Speak the worker protocol over `in`/`out` until STOP or EOF. Returns OK
-/// on a clean shutdown; a store that fails validation returns its open()
-/// status (kDataLoss for corrupt/truncated/mismatched stores, kNotFound for
-/// a missing file) before any message is exchanged. Throws
+/// Speak the worker protocol over a connected local wire (read_fd ==
+/// write_fd for a socket) until STOP or EOF; takes ownership of both fds.
+/// Returns OK on a clean shutdown; a store that fails validation returns
+/// its open() status (kDataLoss for corrupt/truncated/mismatched stores,
+/// kNotFound for a missing file) before any message is exchanged. Throws
 /// std::invalid_argument for an unknown backend name.
-[[nodiscard]] Status run_worker(const WorkerOptions& opts, std::FILE* in,
-                                std::FILE* out);
-
-/// Same loop over an arbitrary transport (no reconnection).
-[[nodiscard]] Status run_worker(const WorkerOptions& opts,
-                                Transport& transport);
+[[nodiscard]] Status run_worker(const WorkerOptions& opts, int read_fd,
+                                int write_fd);
 
 /// Dial opts.connect and run the loop with reconnection (see above).
 [[nodiscard]] Status run_socket_worker(const WorkerOptions& opts);

@@ -7,6 +7,7 @@
 #include "shard/coordinator.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -67,6 +68,16 @@ const Fixture& fixture() {
   static const Fixture f;
   return f;
 }
+
+/// Turns obs on for a scope, then leaves it disabled and zeroed, as
+/// test_obs.cpp's fixture does.
+struct ObsOn {
+  ObsOn() { obs::set_enabled(true); }
+  ~ObsOn() {
+    obs::set_enabled(false);
+    obs::registry().reset();
+  }
+};
 
 /// A small 4-cell spec the coordinator tests share.
 SweepSpec small_spec() {
@@ -340,38 +351,47 @@ TEST(ShardGrid, JournalKeysMatchWhatParallelRunnerWrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker over in-memory FILE*s (no fork): handshake, lease, stop.
+// Worker over one socketpair, in this process (no fork): handshake, lease,
+// stop.
+
+/// Runs a worker on one end of a socketpair. The other end sends `script`
+/// and half-closes; returns the worker's status and fills `lines` with
+/// every line it wrote.
+Status run_scripted_worker(const WorkerOptions& wopts,
+                           const std::string& script,
+                           std::vector<std::string>* lines) {
+  int wire[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, wire), 0);
+  EXPECT_EQ(::write(wire[0], script.data(), script.size()),
+            static_cast<ssize_t>(script.size()));
+  ::shutdown(wire[0], SHUT_WR);
+  const Status st = run_worker(wopts, wire[1], wire[1]);
+  std::string out;
+  char buf[1 << 16];
+  ssize_t got = 0;
+  while ((got = ::read(wire[0], buf, sizeof buf)) > 0) {
+    out.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(wire[0]);
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) lines->push_back(line);
+  return st;
+}
 
 TEST(ShardWorker, SpeaksTheProtocolOverPipes) {
   const auto& f = fixture();
   const SweepSpec spec = small_spec();
 
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
   Message spec_msg;
   spec_msg.type = MessageType::kSpec;
   spec_msg.text = encode_sweep_spec(spec);
   const std::string script = format_message(spec_msg) + "\nLEASE 0\nSTOP\n";
-  std::fwrite(script.data(), 1, script.size(), in);
-  std::rewind(in);
 
   WorkerOptions wopts;
   wopts.store_path = f.store_path;
-  const Status st = run_worker(wopts, in, out);
-  ASSERT_TRUE(st.is_ok()) << st.to_string();
-
-  std::rewind(out);
   std::vector<std::string> lines;
-  char buf[1 << 16];
-  while (std::fgets(buf, sizeof buf, out) != nullptr) {
-    std::string line(buf);
-    while (!line.empty() && line.back() == '\n') line.pop_back();
-    lines.push_back(line);
-  }
-  std::fclose(in);
-  std::fclose(out);
+  const Status st = run_scripted_worker(wopts, script, &lines);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
 
   ASSERT_EQ(lines.size(), 3u);
   Message hello, result, bye;
@@ -399,28 +419,16 @@ TEST(ShardWorker, SpeaksTheProtocolOverPipes) {
 
 TEST(ShardWorker, LeaseOutOfRangeFailsTheCellNotTheWorker) {
   const auto& f = fixture();
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
   const std::string script = "LEASE 999\nSTOP\n";  // before any SPEC
-  std::fwrite(script.data(), 1, script.size(), in);
-  std::rewind(in);
   WorkerOptions wopts;
   wopts.store_path = f.store_path;
-  ASSERT_TRUE(run_worker(wopts, in, out).is_ok());
-  std::rewind(out);
-  char buf[4096];
-  ASSERT_NE(std::fgets(buf, sizeof buf, out), nullptr);  // HELLO
-  ASSERT_NE(std::fgets(buf, sizeof buf, out), nullptr);  // FAIL
+  std::vector<std::string> lines;
+  ASSERT_TRUE(run_scripted_worker(wopts, script, &lines).is_ok());
+  ASSERT_GE(lines.size(), 2u);  // HELLO, FAIL
   Message fail;
-  std::string line(buf);
-  while (!line.empty() && line.back() == '\n') line.pop_back();
-  ASSERT_TRUE(parse_message(line, &fail)) << line;
+  ASSERT_TRUE(parse_message(lines[1], &fail)) << lines[1];
   EXPECT_EQ(fail.type, MessageType::kFail);
   EXPECT_EQ(fail.code, StatusCode::kInvalidArgument);
-  std::fclose(in);
-  std::fclose(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +450,29 @@ TEST(ShardCoordinator, BitIdenticalToThreadedRunAtEveryWorkerCount) {
     EXPECT_EQ(got->workers_spawned, static_cast<std::uint64_t>(workers));
     EXPECT_EQ(got->workers_died, 0u);
   }
+}
+
+// A fork-only worker inherits its parent's counters; its HELLO reports
+// only the cache builds and maps it performed itself.
+TEST(ShardCoordinator, ForkedWorkersReportOnlyTheirOwnCacheWork) {
+  if (!obs::detail::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (NETSAMPLE_OBS=OFF)";
+  }
+  const auto& f = fixture();
+  const ObsOn obs_on;
+  const core::BinnedTraceCache built(shared_trace().view());
+  ASSERT_GE(obs::registry()
+                .counter("netsample_trace_cache_builds_total")
+                .value(),
+            1u);
+  CoordinatorOptions opts;
+  opts.workers = 2;
+  opts.store_path = f.store_path;
+  auto got = run_sharded_sweep(small_spec(), opts);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  EXPECT_TRUE(got->all_ok());
+  EXPECT_EQ(got->worker_cache_builds, 0u);
+  EXPECT_EQ(got->worker_cache_maps, 2u);  // one store mapping per worker
 }
 
 TEST(ShardCoordinator, WorkerDeathMidSweepReassignsAndStaysBitIdentical) {
@@ -760,14 +791,7 @@ TEST(ShardCoordinator, SocketChaosSigkillReassignsAndStaysBitIdentical) {
 /// timed: a host too slow or loaded to reap within the timeout stalls the
 /// odd sweep, while a poll that cannot wake on the exit stalls most.
 int stalled_sweeps(TransportKind transport) {
-  // Leaves obs disabled and zeroed, as test_obs.cpp's fixture does.
-  struct ObsOn {
-    ObsOn() { obs::set_enabled(true); }
-    ~ObsOn() {
-      obs::set_enabled(false);
-      obs::registry().reset();
-    }
-  } obs_on;
+  const ObsOn obs_on;
   const obs::Counter& stalls = obs::registry().counter(
       "netsample_shard_shutdown_poll_timeouts_total",
       obs::Determinism::kNondeterministic);

@@ -3,21 +3,29 @@
 // bit-exactly (scoring over a mapped cache equals scoring over the built
 // cache), both backends agree byte for byte, and every corruption class —
 // wrong magic, wrong format version, wrong endianness tag, wrong record
-// ABI, truncation, a flipped header byte — is refused with kDataLoss
-// instead of half-read.
+// ABI, truncation, a flipped header byte, a bin id past its histogram — is
+// refused with kDataLoss instead of half-read; the shared mutation loop
+// runs over the header and both bin-id sections.
 #include "shard/store.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/trace_cache.h"
 #include "exper/runner.h"
+#include "mutation.h"
 #include "shard/grid.h"
 #include "synth/presets.h"
 #include "trace/summary.h"
@@ -251,6 +259,169 @@ TEST(TraceStore, RejectsFlippedHeaderByte) {
   auto opened = TraceStore::open(path, store_backend("mmap"));
   ASSERT_FALSE(opened.has_value());
   EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+}
+
+/// Overwrites one byte of a section, leaving the header and its checksum
+/// as written: only a scan of the section itself can notice.
+void poke_section(const std::string& path, StoreSectionId id,
+                  std::uint64_t at, std::uint8_t value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  StoreHeader h{};
+  f.read(reinterpret_cast<char*>(&h), sizeof h);
+  ASSERT_LT(at, h.sections[id].bytes);
+  f.seekp(static_cast<std::streamoff>(h.sections[id].offset + at));
+  f.put(static_cast<char>(value));
+}
+
+// A bin id indexes its histogram's counters with no bound check, so a store
+// holding an id at or past its bin count is refused whole, through either
+// backend, wherever the id sits (a full block of the scan or its tail); the
+// largest legal id still opens.
+TEST(TraceStore, RejectsOutOfRangeBinIdsThroughBothBackends) {
+  const auto& cache = shared_population().cache;
+  const std::pair<StoreSectionId, std::size_t> sections[] = {
+      {kSecSizeBins, cache.tables().size_edges.size() + 1},
+      {kSecGapBins, cache.tables().gap_edges.size() + 1}};
+  const std::uint64_t last = shared_trace().size() - 1;
+  for (const auto& [id, bins] : sections) {
+    for (const std::uint64_t at : {std::uint64_t{1000}, last}) {
+      for (const std::size_t value : {bins - 1, bins, std::size_t{0xFE}}) {
+        const std::string path =
+            write_shared_store("netsample_store_binid.nstore");
+        poke_section(path, id, at, static_cast<std::uint8_t>(value));
+        for (const char* backend : {"mmap", "read"}) {
+          auto opened = TraceStore::open(path, store_backend(backend));
+          const std::string where =
+              "section " + std::to_string(id) + ", byte " +
+              std::to_string(at) + ", id " + std::to_string(value) + ", " +
+              backend;
+          if (value < bins) {
+            EXPECT_TRUE(opened.has_value()) << where;
+            continue;
+          }
+          ASSERT_FALSE(opened.has_value()) << where;
+          EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss) << where;
+          EXPECT_NE(opened.status().message().find("bin id"),
+                    std::string::npos)
+              << opened.status().to_string();
+        }
+      }
+    }
+  }
+}
+
+/// Serves one in-memory image as the store, whatever the source.
+class ImageBackend final : public StoreBackend {
+ public:
+  [[nodiscard]] const char* name() const override { return "image"; }
+  [[nodiscard]] StatusOr<std::unique_ptr<StoreMapping>> open_bytes(
+      const std::string&) override {
+    return std::unique_ptr<StoreMapping>(std::make_unique<Image>(image));
+  }
+
+  std::vector<std::byte> image;
+
+ private:
+  class Image final : public StoreMapping {
+   public:
+    explicit Image(std::vector<std::byte> bytes) : bytes_(std::move(bytes)) {}
+    [[nodiscard]] const std::byte* data() const override {
+      return bytes_.data();
+    }
+    [[nodiscard]] std::size_t size() const override { return bytes_.size(); }
+
+   private:
+    std::vector<std::byte> bytes_;
+  };
+};
+
+// The shared mutation loop over the header and both bin-id sections. Header
+// stomps re-stamp the checksum, so they reach the section-table checks (a
+// moved section can alias another); bin stomps write ids at and past the
+// edge. Every mutant is refused with kDataLoss or opens with every id
+// inside its histogram — and scoring every packet then stays in bounds,
+// which ASan+UBSan checks.
+TEST(TraceStoreMutation, HeaderAndBinSectionsAreRefusedOrInRange) {
+  const std::string path = write_shared_store("netsample_store_mut.nstore");
+  std::vector<std::byte> clean(std::filesystem::file_size(path));
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.read(reinterpret_cast<char*>(clean.data()),
+           static_cast<std::streamsize>(clean.size()));
+    ASSERT_TRUE(f.good());
+  }
+  StoreHeader h{};
+  std::memcpy(&h, clean.data(), sizeof h);
+  const std::size_t size_bins = h.sections[kSecSizeEdges].bytes / 8 + 1;
+  const std::size_t gap_bins = h.sections[kSecGapEdges].bytes / 8 + 1;
+  struct Region {
+    std::uint64_t offset, bytes;
+    std::size_t bins;  // 0 for the header
+  };
+  const Region regions[] = {
+      {0, sizeof(StoreHeader), 0},
+      {h.sections[kSecSizeBins].offset, h.sections[kSecSizeBins].bytes,
+       size_bins},
+      {h.sections[kSecGapBins].offset, h.sections[kSecGapBins].bytes,
+       gap_bins}};
+
+  std::vector<std::size_t> every(shared_trace().size());
+  for (std::size_t i = 0; i < every.size(); ++i) every[i] = i;
+
+  Rng rng(0x5707e);
+  ImageBackend backend;
+  int opened = 0;
+  int refused = 0;
+  for (int m = 0; m < 2000; ++m) {
+    const Region& region = regions[m % 3];
+    const auto first = clean.begin() + static_cast<std::ptrdiff_t>(region.offset);
+    const auto last = first + static_cast<std::ptrdiff_t>(region.bytes);
+    std::vector<std::uint8_t> bytes(region.bytes);
+    std::memcpy(bytes.data(), &*first, bytes.size());
+    mutation::mutate(rng, bytes, [&](std::vector<std::uint8_t>& b,
+                                     std::size_t pos) {
+      if (region.bins == 0) {
+        b[pos] = static_cast<std::uint8_t>(rng.uniform_below(256));
+        if (b.size() < sizeof(StoreHeader)) return;
+        StoreHeader stomped{};
+        std::memcpy(&stomped, b.data(), sizeof stomped);
+        stomped.header_fnv1a = 0;
+        stomped.header_fnv1a = fnv1a64(&stomped, sizeof stomped);
+        std::memcpy(b.data(), &stomped, sizeof stomped);
+        return;
+      }
+      const std::size_t edge[] = {region.bins - 1, region.bins, 0xFF};
+      b[pos] = static_cast<std::uint8_t>(edge[rng.uniform_below(3)]);
+    });
+    backend.image.assign(clean.begin(), first);
+    for (const std::uint8_t x : bytes) backend.image.push_back(std::byte{x});
+    backend.image.insert(backend.image.end(), last, clean.end());
+
+    auto store = TraceStore::open("mutant " + std::to_string(m), backend);
+    if (!store.has_value()) {
+      EXPECT_EQ(store.status().code(), StatusCode::kDataLoss)
+          << store.status().to_string();
+      ++refused;
+      continue;
+    }
+    ++opened;
+    const core::BinnedTables t = store->cache().tables();
+    for (const std::uint8_t id : t.size_bins) {
+      ASSERT_LE(id, t.size_edges.size()) << "mutant " << m;
+    }
+    for (const std::uint8_t id : t.gap_bins) {
+      ASSERT_LE(id, t.gap_edges.size()) << "mutant " << m;
+    }
+    for (const auto target :
+         {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
+      const std::span<const std::size_t> all(
+          every.data(), std::min(every.size(), store->packet_count()));
+      (void)store->cache().sample_histogram(target, all, 0);
+    }
+  }
+  EXPECT_GT(opened, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(TraceStore, WriteIsAtomicNoTmpLeftBehind) {

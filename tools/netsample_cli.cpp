@@ -75,6 +75,35 @@ int fail(const Status& status) {
   return exit_code_for(status);
 }
 
+/// `--resume FILE`: opens the journal into `journal` and says on `banner`
+/// how many cells it already holds. Null when the flag is absent.
+StatusOr<exper::CheckpointJournal*> open_resume(
+    const ArgParser& args, exper::CheckpointJournal& journal,
+    std::ostream& banner) {
+  if (!args.has("resume")) return {nullptr};
+  auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
+  if (!opened) return opened.status();
+  journal = std::move(*opened);
+  banner << "journal " << journal.path() << ": " << journal.size()
+         << " cells already complete";
+  if (journal.dropped_lines() > 0) {
+    banner << " (" << journal.dropped_lines() << " torn lines dropped)";
+  }
+  banner << "\n";
+  return &journal;
+}
+
+/// Names each quarantined cell on stderr; `label(i)` says what cell i is.
+template <class Label>
+void report_quarantined(const Result<exper::RunReport>& result,
+                        const Label& label) {
+  for (const std::size_t i : result->quarantined()) {
+    std::cerr << "quarantined: cell " << i << " (" << label(i) << ") after "
+              << result->cells[i].attempts << " attempt(s): "
+              << result->cells[i].status.to_string() << "\n";
+  }
+}
+
 int usage() {
   std::cout <<
       "netsample -- packet sampling methodology toolkit\n"
@@ -315,30 +344,18 @@ int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
     tasks.push_back({cfg, 0});
   }
   exper::CheckpointJournal journal;
-  if (args.has("resume")) {
-    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-    if (!opened) return fail(opened.status());
-    journal = std::move(*opened);
-    std::cout << "journal " << journal.path() << ": " << journal.size()
-              << " cells already complete";
-    if (journal.dropped_lines() > 0) {
-      std::cout << " (" << journal.dropped_lines() << " torn lines dropped)";
-    }
-    std::cout << "\n";
-    ropts.journal = &journal;
-  }
+  const auto resume = open_resume(args, journal, std::cout);
+  if (!resume) return fail(resume.status());
+  ropts.journal = *resume;
 
   exper::ParallelRunner runner(common.jobs);
   // The unified presentation path: RunReport -> Result<T> -> emit. The same
   // rows render as CSV/JSON lines for any machine consumer of the facade.
   const auto result = as_result(runner.run(tasks, cfg.base_seed, ropts));
   emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " ("
-              << core::target_name(tasks[i].config.target) << ") after "
-              << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
+  report_quarantined(result, [&](std::size_t i) {
+    return core::target_name(tasks[i].config.target);
+  });
   if (!result.ok()) return fail(result.status);
   return 0;
 }
@@ -990,19 +1007,8 @@ int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
   exper::Experiment ex(std::move(*t));
 
   exper::CheckpointJournal journal;
-  bool have_journal = false;
-  if (args.has("resume")) {
-    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-    if (!opened) return fail(opened.status());
-    journal = std::move(*opened);
-    std::cout << "journal " << journal.path() << ": " << journal.size()
-              << " cells already complete";
-    if (journal.dropped_lines() > 0) {
-      std::cout << " (" << journal.dropped_lines() << " torn lines dropped)";
-    }
-    std::cout << "\n";
-    have_journal = true;
-  }
+  const auto resume = open_resume(args, journal, std::cout);
+  if (!resume) return fail(resume.status());
 
   const auto grid = shard::build_grid(spec, ex.full(),
                                       ex.mean_interarrival_usec(),
@@ -1014,22 +1020,18 @@ int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
     // quarantine-and-continue semantics.
     exper::RunOptions ropts;
     ropts.on_error = exper::FailPolicy::kSkip;
-    if (have_journal) ropts.journal = &journal;
+    ropts.journal = *resume;
     exper::ParallelRunner runner(common.jobs);
     rr = runner.run(grid, spec.base_seed, ropts);
   } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0,
-                            have_journal ? &journal : nullptr);
+    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resume);
   }
 
   const auto result = as_result(std::move(rr));
   emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " ("
-              << core::target_name(grid[i].config.target) << ") after "
-              << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
+  report_quarantined(result, [&](std::size_t i) {
+    return core::target_name(grid[i].config.target);
+  });
   if (!result.ok()) return fail(result.status);
   return 0;
 }
@@ -1050,21 +1052,10 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
   const shard::SweepSpec spec = flow_spec_from_args(args);
 
   exper::CheckpointJournal journal;
-  bool have_journal = false;
-  if (args.has("resume")) {
-    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-    if (!opened) return fail(opened.status());
-    journal = std::move(*opened);
-    // Banner on stderr, unlike sweep's: the flows table on stdout must stay
-    // byte-diffable between a resumed and an uninterrupted run.
-    std::cerr << "journal " << journal.path() << ": " << journal.size()
-              << " cells already complete";
-    if (journal.dropped_lines() > 0) {
-      std::cerr << " (" << journal.dropped_lines() << " torn lines dropped)";
-    }
-    std::cerr << "\n";
-    have_journal = true;
-  }
+  // Banner on stderr, unlike sweep's: the flows table on stdout must stay
+  // byte-diffable between a resumed and an uninterrupted run.
+  const auto resume = open_resume(args, journal, std::cerr);
+  if (!resume) return fail(resume.status());
 
   auto t = load(args.positionals().at(0), args, std::cerr);
   if (!t) return fail(t.status());
@@ -1078,7 +1069,7 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
   if (flags.workers == 0) {
     exper::RunOptions ropts;
     ropts.on_error = exper::FailPolicy::kSkip;
-    if (have_journal) ropts.journal = &journal;
+    ropts.journal = *resume;
     // The workload hook: identical to what sharded workers run per cell.
     ropts.cell_runner = [&spec](const exper::CellConfig& cfg,
                                 std::size_t index) {
@@ -1088,18 +1079,14 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
     exper::ParallelRunner runner(common.jobs);
     rr = runner.run(grid, spec.base_seed, ropts);
   } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0,
-                            have_journal ? &journal : nullptr);
+    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resume);
   }
 
   const auto result = as_flow_result(std::move(rr), spec);
   emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " ("
-              << flow::estimator_name(shard::grid_estimator(spec, i))
-              << ") after " << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
+  report_quarantined(result, [&](std::size_t i) {
+    return flow::estimator_name(shard::grid_estimator(spec, i));
+  });
   if (!result.ok()) return fail(result.status);
   return 0;
 }
@@ -1129,11 +1116,11 @@ int cmd_worker(ArgParser& args) {
     wopts.connect = args.get_string("connect");
     auto hp = shard::parse_host_port(wopts.connect);
     if (!hp.has_value()) return fail(hp.status());
-    const Status status = shard::run_socket_worker(wopts);
-    if (!status.is_ok()) return fail(status);
-    return 0;
   }
-  const Status status = shard::run_worker(wopts, stdin, stdout);
+  const Status status =
+      wopts.connect.empty()
+          ? shard::run_worker(wopts, STDIN_FILENO, STDOUT_FILENO)
+          : shard::run_socket_worker(wopts);
   if (!status.is_ok()) return fail(status);
   return 0;
 }
