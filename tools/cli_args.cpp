@@ -58,54 +58,6 @@ void add_common_flags(ArgParser& args, bool with_pcap) {
                 "(results are bit-identical; default autodetects)");
 }
 
-void add_sweep_flags(ArgParser& args) {
-  args.add_flag("workers", "N",
-                "sweep: worker processes (0 = in-process threads via --jobs)",
-                "0");
-  args.add_flag("store", "FILE",
-                "sweep/worker: trace store path (sweep default: <pcap>.nstore)");
-  args.add_flag("store-backend", "B",
-                "trace store byte source: mmap (zero-copy) or read", "mmap");
-  args.add_flag("keep-store", "",
-                "sweep: keep an auto-written store file after the run");
-  args.add_flag("methods", "LIST",
-                "sweep: comma-separated sampling methods, or 'all'", "all");
-  args.add_flag("grid-k", "LIST",
-                "sweep: comma-separated granularities, or 'ladder' "
-                "(2,4,...,32768)", "ladder");
-  args.add_flag("chaos-kill-after", "N",
-                "sweep: SIGKILL one busy worker after N accepted results "
-                "(fault drill; 0 = off)", "0");
-  args.add_flag("max-respawns", "N",
-                "sweep: replacement workers allowed after unexpected deaths",
-                "8");
-  args.add_flag("die-after", "N",
-                "worker: _exit(137) after N completed cells (fault drill; "
-                "0 = off)", "0");
-  args.add_flag("depart-after", "N",
-                "sweep: first worker sends BYE and exits cleanly after N "
-                "cells (fault drill; 0 = off)", "0");
-  args.add_flag("transport", "KIND",
-                "sweep: how lease lines travel to workers: pipe or socket",
-                "pipe");
-  args.add_flag("listen", "HOST:PORT",
-                "sweep --transport socket: bind address (port 0 = ephemeral)",
-                "127.0.0.1:0");
-  args.add_flag("connect", "HOST:PORT",
-                "worker: dial a socket coordinator instead of stdin/stdout");
-  args.add_flag("connect-retries", "N",
-                "socket: worker redial attempts per lost connection", "5");
-  args.add_flag("heartbeat-interval", "SECONDS",
-                "sweep --transport socket: PING cadence; idle workers silent "
-                "for 4 periods are disconnected (0 = off)", "0");
-  args.add_flag("lease-timeout", "SECONDS",
-                "sweep: reclaim leases older than this from stalled-but-"
-                "connected workers (0 = off)", "0");
-  args.add_flag("netfault", "SPEC",
-                "fault drill: worker-side wire impairment schedule, e.g. "
-                "\"seed=7,drop=0.1,delay=0.2,delay-ms=2\"");
-}
-
 CommonOptions read_common_options(const ArgParser& args) {
   CommonOptions out;
   out.jobs =

@@ -1,13 +1,13 @@
 // Shared command-line flag handling for the netsample CLI and the six
-// figure binaries (fig06–fig11).
+// figure binaries (fig06–fig11): the common flag group (--jobs, --pcap,
+// --metrics-out, --trace-out, --simd) with its one validator, the checked
+// readers every numeric flag and list item goes through, and one contract —
+// *an unknown flag exits with sysexits EX_USAGE (64) everywhere*, asserted
+// by the cli_unknown_flag ctest entries.
 //
-// Before PR 5, --jobs/--pcap/--metrics-out parsing was duplicated between
-// util::ArgParser declarations in netsample_cli.cpp and the argv-scanning
-// helpers in bench/bench_common.h — with different validation and different
-// unknown-flag behavior (the CLI rejected, the figures ignored). This
-// helper is the single truth: one flag vocabulary, one validator, and one
-// contract — *unknown flags exit with sysexits EX_USAGE (64) everywhere*,
-// asserted by the cli_unknown_flag ctest entries.
+// The CLI's other flags are declared in tools/netsample_cli.cpp, once each
+// with its value domain, in the table that gives every subcommand only the
+// flags its handler reads plus this common group (docs/ROBUSTNESS.md §5).
 //
 // The microbenchmarks keep bench_common.h's permissive scanners on purpose:
 // they must pass --benchmark_* flags through to google-benchmark.
@@ -34,14 +34,6 @@ struct CommonOptions {
 /// subcommand's vocabulary). `with_pcap` is off for subcommands that take
 /// the capture as a positional instead.
 void add_common_flags(ArgParser& args, bool with_pcap = true);
-
-/// The sharded-sweep flag vocabulary (netsample sweep / netsample worker):
-/// --workers, --store, --store-backend, --keep-store, --methods, --grid-k,
-/// --transport, --listen, --connect, --connect-retries,
-/// --heartbeat-interval, --lease-timeout, --netfault, --chaos-kill-after,
-/// --max-respawns, --die-after, --depart-after. One declaration site so the
-/// coordinator and worker subcommands cannot drift.
-void add_sweep_flags(ArgParser& args);
 
 /// The single reader behind every integer flag and list item (--jobs,
 /// --k, --seed, NETSAMPLE_JOBS, --grid-k, budgets): a base-10 integer in

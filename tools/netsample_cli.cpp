@@ -1,27 +1,13 @@
 // netsample -- command-line front end to the whole library.
 //
-//   netsample generate --minutes 10 --seed 23 --out trace.pcap [--poisson]
-//   netsample inspect  trace.pcap
-//   netsample sample   trace.pcap --method systematic --k 50 --out out.pcap
-//   netsample score    trace.pcap --method systematic --k 50 [--reps 5]
-//   netsample flows    trace.pcap [--timeout 30] [--top 10]
-//   netsample flows    trace.pcap --sweep [--estimators rescale,em]
-//                      [--grid-k 10,100,1000] [--flow-cap N] [--workers N]
-//   netsample design   --mu 232 --sigma 236 --accuracy 5 [--population N]
-//   netsample charact  trace.pcap [--node t1|t3] [--k 50]
-//   netsample impair   trace.pcap --method systematic --k 50 [--fault all]
-//   netsample watch    trace.pcap --method systematic --k 50 --window 5
-//   netsample serve    [--listen 127.0.0.1:0] [--lanes N] [--max-sessions N]
-//   netsample loadgen  trace.pcap --connect HOST:PORT [--sessions N]
-//   netsample stats    metrics.json [--masked]
-//   netsample sweep    trace.pcap [--workers N] [--resume journal.ckpt]
-//   netsample worker   --store trace.nstore   (spawned by sweep, not users)
-//   netsample journal  compact journal.ckpt
-//
-// score/impair (and the figure binaries) accept --metrics-out FILE /
-// --trace-out FILE to export an observability snapshot of the run;
-// `netsample stats` pretty-prints one, and with --masked emits the
-// deterministic-only JSON that golden tests diff (docs/OBSERVABILITY.md).
+// Every subcommand is one row of the command table at the end of this file:
+// its one-line summary, its positionals, and the flags its handler (or a
+// helper it calls) reads. Each flag is declared once, in the flag table,
+// with its value domain. main() builds the chosen subcommand's parser from
+// its row alone and checks arity, required flags and every domain before
+// the handler runs, so a flag the subcommand does not read, an extra
+// positional, or a value outside its domain exits 64 naming it. `netsample`
+// and `netsample <command> --help` print from the same two tables.
 //
 // Every subcommand is a thin veneer over the public API; see examples/ for
 // annotated versions of the same flows.
@@ -32,13 +18,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "netsample/netsample.h"
@@ -75,6 +66,240 @@ int fail(const Status& status) {
   return exit_code_for(status);
 }
 
+// ---------------------------------------------------------------------------
+// Flag declarations
+
+/// The values a flag, or each item of a LIST flag, may take.
+struct Domain {
+  enum Kind { kText, kCount, kReal, kChoice } kind{kText};
+  std::uint64_t min{0}, max{0};      // kCount: an integer in [min, max]
+  double bound{0};                   // kReal: a number in [0, bound]
+  std::string choices;               // kChoice: "a|b|c"
+};
+
+Domain count(std::uint64_t min, std::uint64_t max) {
+  return {Domain::kCount, min, max, 0, {}};
+}
+Domain real(double bound) { return {Domain::kReal, 0, 0, bound, {}}; }
+Domain choice(std::string choices) {
+  return {Domain::kChoice, 0, 0, 0, std::move(choices)};
+}
+
+struct Flag {
+  std::string name;
+  std::string value;  // metavariable: empty for a switch; LIST for a list
+  std::optional<std::string> def;
+  Domain domain;
+  std::string help;
+};
+
+/// Throws std::invalid_argument naming the flag unless `text` is in its
+/// domain. A LIST value is comma-separated items, at least one, each in the
+/// domain, unless it is the flag's default (a keyword such as all).
+void check_flag(const Flag& f, const std::string& text) {
+  const std::string source = "--" + f.name;
+  if (f.value == "LIST" && text == f.def) return;
+  const auto items = f.value == "LIST" ? tools::list_items(text)
+                                       : std::vector<std::string>{text};
+  if (items.empty()) {
+    throw std::invalid_argument(source + " needs at least one value");
+  }
+  const Domain& d = f.domain;
+  for (const std::string& item : items) {
+    if (d.kind == Domain::kCount) {
+      (void)tools::checked_count(source, item, d.max, d.min);
+    } else if (d.kind == Domain::kReal) {
+      (void)tools::checked_real(source, item, d.bound);
+    } else if (d.kind == Domain::kChoice &&
+               ("|" + d.choices + "|").find("|" + item + "|") ==
+                   std::string::npos) {
+      throw std::invalid_argument(source + ": expected " + d.choices +
+                                  ", got \"" + item + "\"");
+    }
+  }
+}
+
+// Numeric flag ranges: a seed, k or population may be any u64 (k >= 1: the
+// library divides by it); replications stop where the SweepSpec and
+// SessionSpec codecs stop; other counts and reals get a generous bound.
+constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxCount = 1000000000;
+constexpr std::uint64_t kMaxReps = 1000000;
+constexpr double kMaxReal = 1e9;
+
+/// "a|b|c": the names of every element of `all`.
+template <class T, class Name>
+std::string names(const std::vector<T>& all, Name name) {
+  std::string out;
+  for (const T& x : all) out += (out.empty() ? "" : "|") + std::string(name(x));
+  return out;
+}
+
+/// Every flag a subcommand reads, each declared once, apart from the common
+/// group tools::add_common_flags declares for the figure binaries too.
+const std::vector<Flag>& flag_table() {
+  static const Domain any = count(0, kAnyCount), counts = count(0, kMaxCount);
+  static const Domain number = real(kMaxReal);
+  static const Domain methods =
+      choice(names(shard::default_sweep_spec().methods, shard::method_token));
+  static const std::vector<Flag> table = {
+      // capture input and output
+      {"out", "FILE", {}, {}, "output pcap path"},
+      {"strict", "", {}, {}, "refuse a damaged capture (exit 65)"},
+      {"salvage", "", {}, {}, "resync past corrupt records, do not stop"},
+      // generate
+      {"minutes", "N", "10", number, "trace duration in minutes"},
+      {"poisson", "", {}, {}, "disable burst structure (ablation workload)"},
+      {"flow-mix", "", {}, {}, "heavy-tailed flow-train mix for flow sweeps"},
+      // sampling and scoring
+      {"seed", "S", "23", any, "RNG seed"},
+      {"method", "M", "systematic", methods, "sampling method"},
+      {"k", "K", "50", count(1, kAnyCount), "sampling granularity (1-in-k)"},
+      {"reps", "R", "5", count(1, kMaxReps), "replications"},
+      {"target", "T", "both",
+       choice("both|size|iat|ports|protocols|netmatrix"),
+       "score target (sweep, watch and loadgen take both|size|iat)"},
+      {"population", "N", "0", any, "population size, 0 = infinite"},
+      {"resume", "FILE", {}, {}, "checkpoint journal: replay its cells"},
+      {"on-error", "P", "abort", choice("abort|skip|retry"), "failure policy"},
+      {"retries", "N", "2", count(0, 1000), "retries under --on-error retry"},
+      {"cell-timeout", "SEC", "0", number, "per-cell deadline, 0 = none"},
+      // flows
+      {"timeout", "SEC", "30", number, "flow idle timeout"},
+      {"top", "N", "10", counts, "top talkers to print"},
+      {"sweep", "", {}, {}, "run the sampled-flow inversion grid instead"},
+      {"estimators", "LIST", "rescale,em", choice("rescale|em"),
+       "inversion estimators"},
+      {"flow-cap", "N", "0", counts, "flow table capacity, 0 = unbounded"},
+      {"em-iters", "N", "60", count(1, 100000), "EM iteration budget"},
+      // design
+      {"mu", "M", "232", number, "population mean"},
+      {"sigma", "S", "236", number, "population stddev"},
+      {"accuracy", "R", "5", number, "accuracy percent"},
+      {"confidence", "C", "0.95", real(1.0), "confidence level"},
+      // charact and impair
+      {"node", "T", "t1", choice("t1|t3"), "node type"},
+      {"fault", "F", "all",
+       choice("all|" + names(faultsim::all_faults(), faultsim::fault_name)),
+       "impairment to sweep"},
+      {"intensity", "LIST", "0.001,0.01,0.05,0.1", real(1.0),
+       "per-record probabilities"},
+      {"csv", "", {}, {}, "machine-readable CSV output"},
+      // streaming sessions (watch, loadgen)
+      {"window", "SEC", "0", number, "rolling window, 0 = whole stream"},
+      {"stride", "SEC", "0", number, "snapshot period, 0 = one per window"},
+      {"format", "F", "jsonl", choice("jsonl|csv"), "row format"},
+      {"chunk", "N", "4096", count(1, kMaxCount), "packets per pipeline chunk"},
+      {"ring", "N", "16", count(1, kMaxCount), "ring capacity in chunks"},
+      {"deadline", "SEC", "0", number, "wall-clock budget, 0 = none"},
+      {"mean-iat", "USEC", "0", number, "mean interarrival (timer methods)"},
+      {"tenant", "NAME", "default", {}, "budget bucket the session bills to"},
+      // serve and loadgen
+      {"listen", "HOST:PORT", "127.0.0.1:0", {}, "bind address, port 0 = any"},
+      {"lanes", "N", "0", count(0, 4096), "scoring threads, 0 = one per core"},
+      {"max-sessions", "N", "0", counts, "sessions per tenant, 0 = unlimited"},
+      {"max-ring-bytes", "N", "0", count(0, 2000000000),
+       "queued bytes per tenant before shedding, 0 = unlimited"},
+      {"max-pps", "RATE", "0", real(1e12), "pkt/s per tenant, 0 = unlimited"},
+      {"connect", "HOST:PORT", {}, {}, "serve daemon or coordinator to dial"},
+      {"sessions", "N", "64", count(1, 1000000), "concurrent sessions"},
+      {"connections", "N", "8", count(1, 100000), "connections they share"},
+      {"seed-groups", "N", "1", count(1, 1000000), "distinct session seeds"},
+      // A FEED line must fit the daemon's line cap at the widest tokens.
+      {"feed-chunk", "N", "512", count(1, serve::kMaxFeedPackets),
+       "packets per FEED line"},
+      {"p99-ms", "MS", "0", number, "assert p99 CLOSE->CLOSED <= MS, 0 = off"},
+      {"dump-rows", "FILE", {}, {}, "write session s0's ROWS payloads here"},
+      {"no-close", "", {}, {}, "never CLOSE; wait for the daemon's drain"},
+      {"masked", "", {}, {}, "print the deterministic-only JSON"},
+      // sharded grids (sweep, flows --sweep) and their workers
+      {"methods", "LIST", "all", methods, "sampling methods"},
+      {"grid-k", "LIST", "ladder",
+       count(1, std::numeric_limits<int>::max()),
+       "granularities (ladder: sweep 2..32768, flows 10,100,1000)"},
+      {"workers", "N", "0", count(0, 4096), "processes, 0 = threads (--jobs)"},
+      {"store", "FILE", {}, {}, "trace store (default CAPTURE.nstore)"},
+      {"store-backend", "B", "mmap", choice("mmap|read"), "store source"},
+      {"keep-store", "", {}, {}, "keep an auto-written store"},
+      {"transport", "KIND", "pipe", choice("pipe|socket"), "lease wire"},
+      {"heartbeat-interval", "SEC", "0", real(3600), "PING period, 0 = off"},
+      {"lease-timeout", "SEC", "0", real(3600), "lease expiry, 0 = off"},
+      {"connect-retries", "N", "5", count(0, 1000), "redials per lost link"},
+      {"netfault", "SPEC", {}, {}, "wire impairments, e.g. seed=7,drop=0.1"},
+      // worker failures: scripted drills (0 = off) and the respawn budget
+      {"chaos-kill-after", "N", "0", counts, "SIGKILL a worker at N results"},
+      {"max-respawns", "N", "8", counts, "replacements after worker deaths"},
+      {"depart-after", "N", "0", counts, "first worker leaves after N cells"},
+      {"die-after", "N", "0", counts, "_exit(137) after N cells"},
+  };
+  return table;
+}
+
+const Flag& flag(const std::string& name) {
+  for (const Flag& f : flag_table()) {
+    if (f.name == name) return f;
+  }
+  throw std::logic_error("undeclared flag --" + name);
+}
+
+/// Numeric flags and list items read back through the shared checked
+/// readers (tools/cli_args.h) with the range their declaration gives.
+std::uint64_t count_item(const std::string& name, const std::string& text) {
+  const Domain& d = flag(name).domain;
+  return tools::checked_count("--" + name, text, d.max, d.min);
+}
+
+double real_item(const std::string& name, const std::string& text) {
+  return tools::checked_real("--" + name, text, flag(name).domain.bound);
+}
+
+template <class T = std::uint64_t>
+T count_flag(const ArgParser& args, const std::string& name) {
+  return static_cast<T>(count_item(name, args.get_string(name)));
+}
+
+double real_flag(const ArgParser& args, const std::string& name) {
+  return real_item(name, args.get_string(name));
+}
+
+/// Each item of a LIST flag, read by `read`.
+template <class Read>
+auto list_flag(const ArgParser& args, const std::string& name, Read read) {
+  std::vector<std::invoke_result_t<Read, const std::string&>> out;
+  for (const std::string& item : tools::list_items(args.get_string(name))) {
+    out.push_back(read(item));
+  }
+  return out;
+}
+
+/// A fault-drill count: N > 0 scripts the drill, 0 turns it off (-1).
+int drill_flag(const ArgParser& args, const std::string& name) {
+  const int n = count_flag<int>(args, name);
+  return n > 0 ? n : -1;
+}
+
+/// A free-text flag that `parse` must accept (a HOST:PORT, a --netfault
+/// schedule), checked before any capture opens, socket binds or worker
+/// starts: a typo is a usage error, not a kInternal after every worker dies
+/// trying to parse it. Empty when the flag is absent.
+template <class Parse>
+std::string parsed_flag(const ArgParser& args, const std::string& name,
+                        Parse parse) {
+  if (!args.has(name)) return "";
+  const std::string value = args.get_string(name);
+  const auto parsed = parse(value);
+  if (!parsed.has_value()) throw StatusError(parsed.status());
+  return value;
+}
+
+// ---------------------------------------------------------------------------
+// Subcommands
+
+struct Context {
+  tools::CommonOptions common;
+  const char* argv0;
+};
+
 /// `--resume FILE`: opens the journal into `journal` and says on `banner`
 /// how many cells it already holds. Null when the flag is absent.
 StatusOr<exper::CheckpointJournal*> open_resume(
@@ -104,58 +329,6 @@ void report_quarantined(const Result<exper::RunReport>& result,
   }
 }
 
-int usage() {
-  std::cout <<
-      "netsample -- packet sampling methodology toolkit\n"
-      "usage: netsample <command> [args]\n\n"
-      "commands:\n"
-      "  generate   synthesize a calibrated SDSC-like trace to a pcap file\n"
-      "  inspect    summarize a pcap capture (Tables 2/3 style)\n"
-      "  sample     draw a sampled sub-trace and write it as pcap\n"
-      "  score      score a sampling discipline against the capture (phi)\n"
-      "  flows      assemble 5-tuple flows and print top talkers; with\n"
-      "             --sweep, run the sampled-flow inversion workload\n"
-      "  design     Cochran sample-size planning\n"
-      "  charact    run the NSFNET characterization objects\n"
-      "  impair     sweep measurement impairments and report phi degradation\n"
-      "  watch      stream a capture and emit windowed phi snapshots\n"
-      "  serve      multi-tenant streaming scoring daemon: watch sessions\n"
-      "             multiplexed over TCP with per-tenant budgets\n"
-      "  loadgen    replay a capture as N concurrent serve sessions and\n"
-      "             assert latency and cross-session determinism\n"
-      "  stats      pretty-print a --metrics-out JSON snapshot\n"
-      "  sweep      score the whole method x k grid, optionally sharded\n"
-      "             over --workers N processes on a memory-mapped store\n"
-      "  worker     sharded-sweep worker (spawned by sweep; speaks the\n"
-      "             lease protocol on stdin/stdout)\n"
-      "  journal    maintain checkpoint journals (journal compact FILE)\n"
-      "run 'netsample <command> --help' for flags.\n";
-  return kExitUsage;
-}
-
-// Numeric flag ranges: a seed, k or population may be any u64 (k >= 1: the
-// library divides by it); replications stop where the SweepSpec and
-// SessionSpec codecs stop; other counts and reals get a generous bound.
-constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
-constexpr std::uint64_t kMaxCount = 1000000000;
-constexpr std::uint64_t kMaxReps = 1000000;
-constexpr double kMaxReal = 1e9;
-
-/// Every numeric flag reads through the shared checked readers
-/// (tools/cli_args.h): the whole token, inside the flag's range, or a usage
-/// error (64) that names the flag.
-template <class T = std::uint64_t>
-T count_flag(const ArgParser& args, const std::string& name,
-             std::uint64_t max_value, std::uint64_t min_value = 0) {
-  return static_cast<T>(tools::checked_count("--" + name, args.get_string(name),
-                                             max_value, min_value));
-}
-
-double real_flag(const ArgParser& args, const std::string& name,
-                 double max_value = kMaxReal) {
-  return tools::checked_real("--" + name, args.get_string(name), max_value);
-}
-
 /// Load a capture honoring --strict / --salvage, surfacing every counter the
 /// parse and decode produced so a dirty capture is never silently "fine".
 /// `out` lets machine-readable commands (impair --csv) divert the human
@@ -182,43 +355,9 @@ StatusOr<trace::Trace> load(const std::string& path, const ArgParser& args,
   return t;
 }
 
-/// Translate --on-error / --retries / --cell-timeout / --resume into sweep
-/// RunOptions. The journal (when --resume is given) is owned by the caller
-/// so it outlives the run.
-exper::RunOptions sweep_options(const ArgParser& args,
-                                exper::CheckpointJournal* journal) {
-  exper::RunOptions opts;
-  const std::string policy = args.get_string("on-error");
-  if (policy == "abort") {
-    opts.on_error = exper::FailPolicy::kAbort;
-  } else if (policy == "skip") {
-    opts.on_error = exper::FailPolicy::kSkip;
-  } else if (policy == "retry") {
-    opts.on_error = exper::FailPolicy::kRetry;
-  } else {
-    throw std::invalid_argument("unknown --on-error '" + policy +
-                                "' (abort|skip|retry)");
-  }
-  opts.max_attempts = 1 + count_flag<int>(args, "retries", 1000);
-  opts.cell_timeout_seconds = real_flag(args, "cell-timeout");
-  opts.journal = journal;
-  return opts;
-}
-
-core::Method parse_method(const std::string& name) {
-  if (name == "systematic") return core::Method::kSystematicCount;
-  if (name == "stratified") return core::Method::kStratifiedCount;
-  if (name == "random") return core::Method::kSimpleRandom;
-  if (name == "timer-systematic") return core::Method::kSystematicTimer;
-  if (name == "timer-stratified") return core::Method::kStratifiedTimer;
-  throw std::invalid_argument(
-      "unknown method '" + name +
-      "' (systematic|stratified|random|timer-systematic|timer-stratified)");
-}
-
-int cmd_generate(ArgParser& args) {
+int cmd_generate(const ArgParser& args, const Context&) {
   const double minutes = real_flag(args, "minutes");
-  const std::uint64_t seed = count_flag(args, "seed", kAnyCount);
+  const std::uint64_t seed = count_flag(args, "seed");
   const std::string out = args.get_string("out");
 
   if (args.get_bool("flow-mix") && args.get_bool("poisson")) {
@@ -240,7 +379,7 @@ int cmd_generate(ArgParser& args) {
   return 0;
 }
 
-int cmd_inspect(ArgParser& args) {
+int cmd_inspect(const ArgParser& args, const Context&) {
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   const auto pop = trace::summarize_population(t->view());
@@ -263,11 +402,11 @@ int cmd_inspect(ArgParser& args) {
   return 0;
 }
 
-int cmd_sample(ArgParser& args) {
+int cmd_sample(const ArgParser& args, const Context&) {
   core::SamplerSpec spec;
-  spec.method = parse_method(args.get_string("method"));
-  spec.granularity = count_flag(args, "k", kAnyCount, 1);
-  spec.seed = count_flag(args, "seed", kAnyCount);
+  spec.method = shard::parse_method_token(args.get_string("method"));
+  spec.granularity = count_flag(args, "k");
+  spec.seed = count_flag(args, "seed");
 
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
@@ -290,13 +429,19 @@ int cmd_sample(ArgParser& args) {
   return 0;
 }
 
-int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
+int cmd_score(const ArgParser& args, const Context& ctx) {
   exper::CellConfig cfg;
-  cfg.method = parse_method(args.get_string("method"));
-  cfg.granularity = count_flag(args, "k", kAnyCount, 1);
-  cfg.replications = count_flag<int>(args, "reps", kMaxReps, 1);
-  cfg.base_seed = count_flag(args, "seed", kAnyCount);
-  exper::RunOptions ropts = sweep_options(args, nullptr);
+  cfg.method = shard::parse_method_token(args.get_string("method"));
+  cfg.granularity = count_flag(args, "k");
+  cfg.replications = count_flag<int>(args, "reps");
+  cfg.base_seed = count_flag(args, "seed");
+  exper::RunOptions ropts;
+  const std::string policy = args.get_string("on-error");
+  ropts.on_error = policy == "abort"  ? exper::FailPolicy::kAbort
+                   : policy == "skip" ? exper::FailPolicy::kSkip
+                                      : exper::FailPolicy::kRetry;
+  ropts.max_attempts = 1 + count_flag<int>(args, "retries");
+  ropts.cell_timeout_seconds = real_flag(args, "cell-timeout");
 
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
@@ -348,7 +493,7 @@ int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
   if (!resume) return fail(resume.status());
   ropts.journal = *resume;
 
-  exper::ParallelRunner runner(common.jobs);
+  exper::ParallelRunner runner(ctx.common.jobs);
   // The unified presentation path: RunReport -> Result<T> -> emit. The same
   // rows render as CSV/JSON lines for any machine consumer of the facade.
   const auto result = as_result(runner.run(tasks, cfg.base_seed, ropts));
@@ -360,40 +505,28 @@ int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
   return 0;
 }
 
-int cmd_impair(ArgParser& args) {
+int cmd_impair(const ArgParser& args, const Context&) {
   const bool csv = args.get_bool("csv");
   // In CSV mode stdout carries nothing but the header and data rows; the
   // human-facing summary moves to stderr.
   std::ostream& info = csv ? std::cerr : std::cout;
 
-  // Intensity ladder: comma-separated per-record probabilities, each
-  // checked as a whole token before the capture is read.
-  std::vector<double> intensities;
-  for (const auto& item : tools::list_items(args.get_string("intensity"))) {
-    intensities.push_back(tools::checked_real("--intensity", item, 1.0));
-  }
-  if (intensities.empty()) {
-    throw std::invalid_argument("--intensity needs at least one value");
-  }
-  const auto method = parse_method(args.get_string("method"));
-  const std::uint64_t k = count_flag(args, "k", kAnyCount, 1);
-  const int reps = count_flag<int>(args, "reps", kMaxReps, 1);
-  const std::uint64_t seed = count_flag(args, "seed", kAnyCount);
+  // Intensity ladder: comma-separated per-record probabilities.
+  const auto intensities =
+      list_flag(args, "intensity",
+                [](const std::string& p) { return real_item("intensity", p); });
+  const auto method = shard::parse_method_token(args.get_string("method"));
+  const std::uint64_t k = count_flag(args, "k");
+  const int reps = count_flag<int>(args, "reps");
+  const std::uint64_t seed = count_flag(args, "seed");
+  const std::string fault_arg = args.get_string("fault");
+  const auto faults = fault_arg == "all"
+                          ? faultsim::all_faults()
+                          : std::vector{*faultsim::parse_fault(fault_arg)};
 
   auto loaded = load(args.positionals().at(0), args, info);
   if (!loaded) return fail(loaded.status());
   const trace::Trace clean = std::move(*loaded);
-
-  // Which faults to sweep.
-  std::vector<faultsim::Fault> faults;
-  const std::string fault_arg = args.get_string("fault");
-  if (fault_arg == "all") {
-    faults = faultsim::all_faults();
-  } else {
-    auto parsed = faultsim::parse_fault(fault_arg);
-    if (!parsed) return fail(parsed.status());
-    faults.push_back(*parsed);
-  }
 
   // Scoring harness: mean phi of `reps` replications against the packet-size
   // target. Impaired traces differ per (fault, intensity), so no shared bin
@@ -466,23 +599,23 @@ int cmd_impair(ArgParser& args) {
   return 0;
 }
 
-/// Session description shared by `watch`, `serve` defaults, and `loadgen`:
-/// the watch flag vocabulary maps 1:1 onto the facade's SessionSpec (API
-/// v1.1), and the one validator behind watch and serve OPEN runs here — a
-/// bad combination is kInvalidArgument (exit 64) before any capture opens.
+/// Session description shared by `watch` and `loadgen`: the session flag
+/// vocabulary maps 1:1 onto the facade's SessionSpec (API v1.1), and the one
+/// validator behind watch and serve OPEN runs here — a bad combination is
+/// kInvalidArgument (exit 64) before any capture opens.
 SessionSpec session_spec_from_args(const ArgParser& args) {
   SessionSpec spec;
-  spec.method = parse_method(args.get_string("method"));
-  spec.granularity = count_flag(args, "k", kAnyCount, 1);
-  spec.replications = count_flag<int>(args, "reps", kMaxReps, 1);
-  spec.seed = count_flag(args, "seed", kAnyCount);
+  spec.method = shard::parse_method_token(args.get_string("method"));
+  spec.granularity = count_flag(args, "k");
+  spec.replications = count_flag<int>(args, "reps");
+  spec.seed = count_flag(args, "seed");
   spec.targets = args.get_string("target");
   spec.window_s = real_flag(args, "window");
   spec.stride_s = real_flag(args, "stride");
-  spec.population = count_flag(args, "population", kAnyCount);
+  spec.population = count_flag(args, "population");
   spec.mean_iat_usec = real_flag(args, "mean-iat");
-  spec.chunk_packets = count_flag(args, "chunk", kMaxCount, 1);
-  spec.ring_capacity = count_flag(args, "ring", kMaxCount, 1);
+  spec.chunk_packets = count_flag(args, "chunk");
+  spec.ring_capacity = count_flag(args, "ring");
   spec.deadline_s = real_flag(args, "deadline");
   spec.tenant = args.get_string("tenant");
   const Status status = validate_session_spec(spec);
@@ -498,12 +631,8 @@ SessionSpec session_spec_from_args(const ArgParser& args) {
 /// Since API v1.1 the engine is built entirely from a SessionSpec — the same
 /// struct `serve` decodes from an OPEN line — so a serve session's ROWS
 /// payloads are byte-identical to this subcommand's jsonl by construction.
-int cmd_watch(ArgParser& args) {
-  const std::string format = args.get_string("format");
-  if (format != "jsonl" && format != "csv") {
-    throw std::invalid_argument("unknown --format '" + format +
-                                "' (jsonl|csv)");
-  }
+int cmd_watch(const ArgParser& args, const Context&) {
+  const bool csv = args.get_string("format") == "csv";
   const SessionSpec spec = session_spec_from_args(args);
 
   util::CancelToken cancel;
@@ -512,12 +641,10 @@ int cmd_watch(ArgParser& args) {
                         session_engine_options(spec, &cancel));
 
   const std::vector<std::string>& columns = session_row_columns();
-  if (format == "csv") std::cout << csv_line(columns) << "\n";
+  if (csv) std::cout << csv_line(columns) << "\n";
   const auto emit_score = [&](const stream::WindowScore& w) {
     for (const auto& cells : session_row_cells(w)) {
-      std::cout << (format == "csv" ? csv_line(cells)
-                                    : json_line(columns, cells))
-                << "\n";
+      std::cout << (csv ? csv_line(cells) : json_line(columns, cells)) << "\n";
     }
   };
   engine.on_snapshot(emit_score);
@@ -578,15 +705,13 @@ void install_serve_signal_handlers() {
 /// unlimited). Prints `listening HOST:PORT` to stdout (flushed) once bound
 /// so scripts can parse the ephemeral port, then serves until
 /// SIGTERM/SIGINT and exits 0 after the drain.
-int cmd_serve(ArgParser& args) {
+int cmd_serve(const ArgParser& args, const Context&) {
   serve::ServeOptions sopts;
   sopts.listen = args.get_string("listen");
-  sopts.lanes = count_flag(args, "lanes", 4096);
-  sopts.default_budget.max_sessions =
-      count_flag(args, "max-sessions", kMaxCount);
-  sopts.default_budget.max_ring_bytes =
-      count_flag(args, "max-ring-bytes", 2000000000);
-  sopts.default_budget.max_pps = real_flag(args, "max-pps", 1e12);
+  sopts.lanes = count_flag(args, "lanes");
+  sopts.default_budget.max_sessions = count_flag(args, "max-sessions");
+  sopts.default_budget.max_ring_bytes = count_flag(args, "max-ring-bytes");
+  sopts.default_budget.max_pps = real_flag(args, "max-pps");
   sopts.stop_check = [] { return g_serve_stop != 0; };
 
   install_serve_signal_handlers();
@@ -612,27 +737,13 @@ int cmd_serve(ArgParser& args) {
 /// capture is read through stream::PcapSource so the packet sequence —
 /// clamping rule included — is exactly what `watch` scores, which is what
 /// makes --dump-rows byte-diffable against a watch run.
-int cmd_loadgen(ArgParser& args) {
-  if (!args.has("connect")) {
-    std::cerr << "error: loadgen requires --connect HOST:PORT (a running "
-                 "`netsample serve`)\n";
-    return kExitUsage;
-  }
+int cmd_loadgen(const ArgParser& args, const Context&) {
   serve::LoadgenOptions lopts;
-  lopts.connect = args.get_string("connect");
-  auto hp = shard::parse_host_port(lopts.connect);
-  if (!hp.has_value()) return fail(hp.status());
-  lopts.sessions = count_flag(args, "sessions", 1000000);
-  lopts.connections = count_flag(args, "connections", 100000);
-  lopts.seed_groups = count_flag(args, "seed-groups", 1000000);
-  // A FEED line must fit the daemon's line cap at the widest tokens.
-  lopts.feed_packets = count_flag(args, "feed-chunk", serve::kMaxFeedPackets);
-  if (lopts.sessions == 0 || lopts.connections == 0 ||
-      lopts.seed_groups == 0 || lopts.feed_packets == 0) {
-    throw std::invalid_argument(
-        "loadgen --sessions/--connections/--seed-groups/--feed-chunk must "
-        "be >= 1");
-  }
+  lopts.connect = parsed_flag(args, "connect", shard::parse_host_port);
+  lopts.sessions = count_flag(args, "sessions");
+  lopts.connections = count_flag(args, "connections");
+  lopts.seed_groups = count_flag(args, "seed-groups");
+  lopts.feed_packets = count_flag(args, "feed-chunk");
   lopts.p99_ms = real_flag(args, "p99-ms");
   if (args.has("dump-rows")) lopts.dump_rows_path = args.get_string("dump-rows");
   lopts.close_sessions = !args.get_bool("no-close");
@@ -673,38 +784,12 @@ int cmd_loadgen(ArgParser& args) {
   return 0;
 }
 
-/// `netsample flows` without --sweep: assemble every flow and print the top
-/// talkers (the original behavior of the subcommand).
-int flow_top_talkers(ArgParser& args) {
-  const double timeout_s = real_flag(args, "timeout");
-  const std::uint64_t top_n = count_flag(args, "top", kMaxCount);
-  auto t = load(args.positionals().at(0), args);
-  if (!t) return fail(t.status());
-  trace::FlowTable table(MicroDuration::from_seconds(timeout_s));
-  table.run(t->view());
-  const auto s = table.stats();
-  std::cout << fmt_count(s.flows) << " flows, " << fmt_count(s.packets)
-            << " packets, " << fmt_count(s.bytes) << " bytes; mean "
-            << fmt_double(s.mean_flow_packets, 2) << " pkts/flow\n\n";
-
-  TextTable top({"src", "dst", "proto", "dport", "packets", "bytes", "sec"});
-  for (const auto& f :
-       table.top_by_packets(static_cast<std::size_t>(top_n))) {
-    top.add_row({f.key.src.to_string(), f.key.dst.to_string(),
-                 net::ip_proto_name(f.key.protocol),
-                 std::to_string(f.key.dst_port), fmt_count(f.packets),
-                 fmt_count(f.bytes), fmt_double(f.duration().to_seconds(), 2)});
-  }
-  top.print(std::cout);
-  return 0;
-}
-
-int cmd_design(ArgParser& args) {
+int cmd_design(const ArgParser& args, const Context&) {
   const double mu = real_flag(args, "mu");
   const double sigma = real_flag(args, "sigma");
   const double acc = real_flag(args, "accuracy");
-  const double conf = real_flag(args, "confidence", 1.0);
-  const std::uint64_t pop = count_flag(args, "population", kAnyCount);
+  const double conf = real_flag(args, "confidence");
+  const std::uint64_t pop = count_flag(args, "population");
   const auto p = core::plan_sample_size(mu, sigma, acc, conf, pop);
   std::cout << "to estimate a mean of " << fmt_double(mu, 1) << " (sd "
             << fmt_double(sigma, 1) << ") to +-" << fmt_double(acc, 1)
@@ -719,8 +804,8 @@ int cmd_design(ArgParser& args) {
   return 0;
 }
 
-int cmd_charact(ArgParser& args) {
-  const std::uint64_t k = count_flag(args, "k", kAnyCount, 1);
+int cmd_charact(const ArgParser& args, const Context&) {
+  const std::uint64_t k = count_flag(args, "k");
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   const auto node = args.get_string("node") == "t1" ? charact::NodeType::kT1
@@ -749,7 +834,7 @@ int cmd_charact(ArgParser& args) {
   return 0;
 }
 
-int cmd_stats(ArgParser& args) {
+int cmd_stats(const ArgParser& args, const Context&) {
   const std::string path = args.positionals().at(0);
   std::ifstream in(path);
   if (!in) {
@@ -768,86 +853,51 @@ int cmd_stats(ArgParser& args) {
   return 0;
 }
 
-/// --grid-k's comma-separated granularities ("2,4,8"): each item a whole
-/// base-10 integer in [1, INT_MAX]; throws on anything else or an empty list.
-std::vector<std::uint64_t> parse_k_list(const std::string& list) {
-  std::vector<std::uint64_t> out;
-  for (const std::string& item : tools::list_items(list)) {
-    const std::uint64_t k = tools::checked_count(
-        "--grid-k", item, std::numeric_limits<int>::max());
-    if (k == 0) throw std::invalid_argument("--grid-k: k must be >= 1");
-    out.push_back(k);
+/// The grid flags both grid subcommands share: the full paper grid with
+/// --seed / --reps, pruned by --methods and --grid-k.
+shard::SweepSpec grid_spec_from_args(const ArgParser& args) {
+  shard::SweepSpec spec = shard::default_sweep_spec();
+  spec.base_seed = count_flag(args, "seed");
+  spec.replications = count_flag<int>(args, "reps");
+  if (args.get_string("methods") != "all") {
+    spec.methods = list_flag(args, "methods", shard::parse_method_token);
   }
-  if (out.empty()) {
-    throw std::invalid_argument("--grid-k needs at least one granularity");
+  if (args.get_string("grid-k") != "ladder") {
+    spec.granularities = list_flag(args, "grid-k", [](const std::string& k) {
+      return count_item("grid-k", k);
+    });
   }
-  return out;
-}
-
-/// Apply --methods to a spec: "all" keeps the default 5, otherwise a
-/// comma-separated token list replaces them. Throws on empties/unknowns.
-void apply_methods_flag(const ArgParser& args, shard::SweepSpec* spec) {
-  const std::string methods = args.get_string("methods");
-  if (methods == "all") return;
-  spec->methods.clear();
-  for (const std::string& item : tools::list_items(methods)) {
-    spec->methods.push_back(shard::parse_method_token(item));
-  }
-  if (spec->methods.empty()) {
-    throw std::invalid_argument("--methods needs at least one method");
-  }
+  return spec;
 }
 
 /// The sweep grid requested on the command line: the full paper grid pruned
 /// by --target / --methods / --grid-k.
 shard::SweepSpec sweep_spec_from_args(const ArgParser& args) {
-  shard::SweepSpec spec = shard::default_sweep_spec();
-  spec.base_seed = count_flag(args, "seed", kAnyCount);
-  spec.replications = count_flag<int>(args, "reps", kMaxReps, 1);
+  shard::SweepSpec spec = grid_spec_from_args(args);
   const std::string which = args.get_string("target");
-  if (which == "size") {
-    spec.targets = {core::Target::kPacketSize};
-  } else if (which == "iat") {
-    spec.targets = {core::Target::kInterarrivalTime};
-  } else if (which != "both") {
-    throw std::invalid_argument("sweep --target must be both|size|iat");
-  }
-  apply_methods_flag(args, &spec);
-  const std::string ks = args.get_string("grid-k");
-  if (ks != "ladder") spec.granularities = parse_k_list(ks);
+  if (which != "both") spec.targets = {shard::parse_target_token(which)};
   return spec;
 }
 
 /// The flow-workload grid of `netsample flows --sweep`: estimators x methods
 /// x granularities, with the flow-table/inversion parameters attached.
 shard::SweepSpec flow_spec_from_args(const ArgParser& args) {
-  shard::SweepSpec spec = shard::default_sweep_spec();
+  shard::SweepSpec spec = grid_spec_from_args(args);
   spec.workload = shard::Workload::kFlow;
   // Placeholder target: required by the spec codec, ignored by flow cells.
   spec.targets = {core::Target::kPacketSize};
-  spec.base_seed = count_flag(args, "seed", kAnyCount);
-  spec.replications = count_flag<int>(args, "reps", kMaxReps, 1);
-  apply_methods_flag(args, &spec);
-  const std::string ks = args.get_string("grid-k");
-  spec.granularities = ks == "ladder" ? flow::flow_ladder() : parse_k_list(ks);
-
-  for (const auto& item : tools::list_items(args.get_string("estimators"))) {
-    spec.estimators.push_back(flow::parse_estimator_token(item));
+  if (args.get_string("grid-k") == "ladder") {
+    spec.granularities = flow::flow_ladder();
   }
-  if (spec.estimators.empty()) {
-    throw std::invalid_argument("--estimators needs at least one of rescale|em");
-  }
+  spec.estimators = list_flag(args, "estimators", flow::parse_estimator_token);
 
   const double timeout_s = real_flag(args, "timeout");
   if (!(timeout_s > 0.0)) {
     throw std::invalid_argument("flows --timeout must be > 0 seconds");
   }
   spec.flow.idle_timeout_usec = static_cast<std::uint64_t>(timeout_s * 1e6);
-  spec.flow.capacity = count_flag(args, "flow-cap", kMaxCount);
-  spec.flow.em_iters = count_flag<int>(args, "em-iters", 100000);
-  if (spec.flow.em_iters == 0) {
-    throw std::invalid_argument("--em-iters must be >= 1");
-  }
+  spec.flow.capacity = count_flag(args, "flow-cap");
+  spec.flow.em_iters = count_flag<int>(args, "em-iters");
   return spec;
 }
 
@@ -863,53 +913,57 @@ std::string self_exe(const char* argv0) {
   return argv0;
 }
 
-/// The validated sharding vocabulary, read up front so a malformed flag is
-/// a usage error (64) before any capture is parsed or store written.
-struct ShardFlags {
-  int workers{0};
-  int chaos{0};
-  int max_respawns{0};
-  int depart{0};
-  int connect_retries{0};
-  double heartbeat{0};
-  double lease_timeout{0};
-  std::string transport;
-  std::string listen;
-  std::string netfault;
-};
-
-/// Throws std::invalid_argument / StatusError on malformed flags — both map
-/// to exit 64 in main().
-ShardFlags shard_flags_from_args(const ArgParser& args) {
-  ShardFlags f;
-  f.workers = count_flag<int>(args, "workers", 4096);
-  f.chaos = count_flag<int>(args, "chaos-kill-after", kMaxCount);
-  f.max_respawns = count_flag<int>(args, "max-respawns", kMaxCount);
-  f.depart = count_flag<int>(args, "depart-after", kMaxCount);
-  f.heartbeat = real_flag(args, "heartbeat-interval", 3600.0);
-  f.lease_timeout = real_flag(args, "lease-timeout", 3600.0);
-  f.connect_retries = count_flag<int>(args, "connect-retries", 1000);
-  f.transport = args.get_string("transport");
-  if (f.transport != "pipe" && f.transport != "socket") {
-    throw std::invalid_argument("--transport must be pipe or socket, got \"" +
-                                f.transport + "\"");
+/// The sharding flags, read up front so a malformed one is a usage error
+/// (64) before any capture is parsed or store written.
+shard::CoordinatorOptions coordinator_options(const ArgParser& args,
+                                              const char* argv0) {
+  shard::CoordinatorOptions copts;
+  copts.workers = count_flag<int>(args, "workers");
+  copts.store_path = args.has("store") ? args.get_string("store")
+                                       : args.positionals().at(0) + ".nstore";
+  copts.backend = args.get_string("store-backend");
+  copts.worker_command = {self_exe(argv0), "worker"};
+  copts.chaos_kill_after = drill_flag(args, "chaos-kill-after");
+  copts.max_respawns = count_flag<int>(args, "max-respawns");
+  copts.first_worker_depart_after = drill_flag(args, "depart-after");
+  copts.listen = args.get_string("listen");
+  if (args.get_string("transport") == "socket") {
+    copts.transport = shard::TransportKind::kSocket;
+    copts.listen = parsed_flag(args, "listen", shard::parse_host_port);
   }
-  f.listen = args.get_string("listen");
-  if (f.transport == "socket") {
-    auto hp = shard::parse_host_port(f.listen);
-    if (!hp.has_value()) throw StatusError(hp.status());
-  }
-  if (args.has("netfault")) {
-    f.netfault = args.get_string("netfault");
-    // Validate the schedule coordinator-side so a typo is a usage error
-    // here, not a kInternal after W workers die trying to parse it.
-    auto nf = faultsim::parse_netfault_spec(f.netfault);
-    if (!nf.has_value()) throw StatusError(nf.status());
-  }
-  return f;
+  copts.heartbeat_interval_s = real_flag(args, "heartbeat-interval");
+  copts.lease_timeout_s = real_flag(args, "lease-timeout");
+  copts.connect_retries = count_flag<int>(args, "connect-retries");
+  copts.netfault = parsed_flag(args, "netfault", faultsim::parse_netfault_spec);
+  return copts;
 }
 
-/// Run `spec` sharded over f.workers processes and re-dress the shard
+/// True when the store at copts.store_path holds exactly this capture: its
+/// records, binned tables and means equal the cache just built from it.
+/// Says on stderr when a store that opens does not.
+bool store_holds_capture(const shard::CoordinatorOptions& copts,
+                         exper::Experiment& ex, double mean_size) {
+  const auto store = shard::TraceStore::open(
+      copts.store_path, shard::store_backend(copts.backend));
+  if (!store.has_value()) return false;
+  const auto same = [](auto a, auto b) { return std::ranges::equal(a, b); };
+  const core::BinnedTables s = store->cache().tables();
+  const core::BinnedTables c = ex.binned_cache().tables();
+  if (same(store->view().packets(), ex.full().packets()) &&
+      same(s.timestamps, c.timestamps) && same(s.size_bins, c.size_bins) &&
+      same(s.gap_bins, c.gap_bins) && same(s.size_prefix, c.size_prefix) &&
+      same(s.gap_prefix, c.gap_prefix) && same(s.size_edges, c.size_edges) &&
+      same(s.gap_edges, c.gap_edges) &&
+      store->mean_interarrival_usec() == ex.mean_interarrival_usec() &&
+      store->mean_packet_size() == mean_size) {
+    return true;
+  }
+  std::cerr << "store: " << copts.store_path
+            << " does not hold this capture; rewriting\n";
+  return false;
+}
+
+/// Run `spec` sharded over copts.workers processes and re-dress the shard
 /// outcomes as an exper::RunReport so the table renders through the exact
 /// same code path as the in-process run (byte-identical output). Throws
 /// StatusError on store/coordinator failure. Scheduling facts (store reuse,
@@ -918,54 +972,25 @@ ShardFlags shard_flags_from_args(const ArgParser& args) {
 exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
                                     const std::vector<exper::GridTask>& grid,
                                     exper::Experiment& ex,
-                                    const ShardFlags& f, const ArgParser& args,
-                                    const char* argv0,
-                                    exper::CheckpointJournal* journal) {
-  const std::string store_path = args.has("store")
-                                     ? args.get_string("store")
-                                     : args.positionals().at(0) + ".nstore";
-  shard::StoreBackend& backend =
-      shard::store_backend(args.get_string("store-backend"));
-  // Amortization: a valid store for this population is reused as-is; the
-  // trace is re-binned and re-serialized only when none exists yet.
-  bool wrote_store = false;
-  {
-    auto existing = shard::TraceStore::open(store_path, backend);
-    if (!existing.has_value() ||
-        existing->packet_count() != ex.population_size()) {
-      const double mean_size =
-          trace::summarize_population(ex.full()).packet_size.mean;
-      const Status st = shard::write_trace_store(
-          store_path, ex.binned_cache(), ex.mean_interarrival_usec(),
-          mean_size);
-      if (!st.is_ok()) throw StatusError(st);
-      wrote_store = true;
-    }
+                                    const shard::CoordinatorOptions& copts,
+                                    bool keep_store) {
+  // Amortization: a store holding exactly this capture's cache is reused
+  // as-is; any other store is rewritten from the cache just built.
+  const double mean_size =
+      trace::summarize_population(ex.full()).packet_size.mean;
+  const bool reuse = store_holds_capture(copts, ex, mean_size);
+  if (!reuse) {
+    const Status st = shard::write_trace_store(
+        copts.store_path, ex.binned_cache(), ex.mean_interarrival_usec(),
+        mean_size);
+    if (!st.is_ok()) throw StatusError(st);
   }
-  std::cerr << "store: " << (wrote_store ? "wrote " : "reusing ") << store_path
-            << "\n";
-
-  shard::CoordinatorOptions copts;
-  copts.workers = f.workers;
-  copts.store_path = store_path;
-  copts.backend = args.get_string("store-backend");
-  copts.journal = journal;
-  copts.worker_command = {self_exe(argv0), "worker"};
-  copts.chaos_kill_after = f.chaos > 0 ? f.chaos : -1;
-  copts.max_respawns = f.max_respawns;
-  copts.first_worker_depart_after = f.depart > 0 ? f.depart : -1;
-  if (f.transport == "socket") {
-    copts.transport = shard::TransportKind::kSocket;
-  }
-  copts.listen = f.listen;
-  copts.heartbeat_interval_s = f.heartbeat;
-  copts.lease_timeout_s = f.lease_timeout;
-  copts.connect_retries = f.connect_retries;
-  copts.netfault = f.netfault;
+  std::cerr << "store: " << (reuse ? "reusing " : "wrote ")
+            << copts.store_path << "\n";
 
   auto sharded = shard::run_sharded_sweep(spec, copts);
-  if (wrote_store && !args.get_bool("keep-store")) {
-    (void)std::remove(store_path.c_str());
+  if (!reuse && !keep_store) {
+    (void)std::remove(copts.store_path.c_str());
   }
   if (!sharded.has_value()) throw StatusError(sharded.status());
 
@@ -992,47 +1017,92 @@ exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
   return rr;
 }
 
-/// `netsample sweep` — the whole method x granularity grid over one capture.
-/// --workers 0 (default) runs in-process on ParallelRunner threads (--jobs);
-/// --workers N shards the grid over N processes that mmap a shared
-/// TraceStore. Both paths print bit-identical tables and write bit-identical
-/// journals: seeds derive from grid coordinates, never from scheduling.
-int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
-              const char* argv0) {
-  const ShardFlags flags = shard_flags_from_args(args);
-  const shard::SweepSpec spec = sweep_spec_from_args(args);
-
-  auto t = load(args.positionals().at(0), args);
+/// The one grid driver behind `sweep` and `flows --sweep`. --workers 0 runs
+/// the grid in-process on ParallelRunner threads (--jobs) with kSkip, the
+/// coordinator's quarantine-and-continue semantics; --workers N shards it
+/// over N processes that mmap a shared TraceStore. Both paths print
+/// bit-identical tables and write bit-identical journals: seeds derive from
+/// grid coordinates, never from scheduling. The spec's workload picks the
+/// cell payload, the result adapter and the quarantine label.
+int run_grid(const ArgParser& args, const Context& ctx,
+             const shard::SweepSpec& spec) {
+  shard::CoordinatorOptions copts = coordinator_options(args, ctx.argv0);
+  const bool flows = spec.workload == shard::Workload::kFlow;
+  std::ostringstream summary, banner;
+  auto t = load(args.positionals().at(0), args, summary);
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
-
   exper::CheckpointJournal journal;
-  const auto resume = open_resume(args, journal, std::cout);
+  const auto resume = open_resume(args, journal, banner);
   if (!resume) return fail(resume.status());
+  // The flows table alone owns stdout, so a resumed run and an uninterrupted
+  // one diff equal: its journal banner and capture summary go to stderr,
+  // banner first. sweep prints both on stdout, summary first.
+  (flows ? std::cerr : std::cout)
+      << (flows ? banner.str() + summary.str() : summary.str() + banner.str());
 
   const auto grid = shard::build_grid(spec, ex.full(),
                                       ex.mean_interarrival_usec(),
                                       &ex.binned_cache());
-
   exper::RunReport rr;
-  if (flags.workers == 0) {
-    // In-process path: ParallelRunner with kSkip matches the coordinator's
-    // quarantine-and-continue semantics.
+  if (copts.workers == 0) {
     exper::RunOptions ropts;
     ropts.on_error = exper::FailPolicy::kSkip;
     ropts.journal = *resume;
-    exper::ParallelRunner runner(common.jobs);
+    // The workload hook: identical to what sharded workers run per cell.
+    if (flows) {
+      ropts.cell_runner = [&spec](const exper::CellConfig& cfg,
+                                  std::size_t index) {
+        return flow::run_flow_cell(cfg, spec.flow,
+                                   shard::grid_estimator(spec, index));
+      };
+    }
+    exper::ParallelRunner runner(ctx.common.jobs);
     rr = runner.run(grid, spec.base_seed, ropts);
   } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resume);
+    copts.journal = *resume;
+    rr = run_sharded_report(spec, grid, ex, copts, args.get_bool("keep-store"));
   }
 
-  const auto result = as_result(std::move(rr));
+  const auto result = flows ? as_flow_result(std::move(rr), spec)
+                            : as_result(std::move(rr));
   emit(result.rows, RowFormat::kAligned, std::cout);
-  report_quarantined(result, [&](std::size_t i) {
-    return core::target_name(grid[i].config.target);
+  report_quarantined(result, [&](std::size_t i) -> std::string {
+    return flows ? flow::estimator_name(shard::grid_estimator(spec, i))
+                 : core::target_name(grid[i].config.target);
   });
   if (!result.ok()) return fail(result.status);
+  return 0;
+}
+
+/// `netsample sweep` — the whole method x granularity grid over one capture.
+int cmd_sweep(const ArgParser& args, const Context& ctx) {
+  return run_grid(args, ctx, sweep_spec_from_args(args));
+}
+
+/// `netsample flows` without --sweep: assemble every flow and print the top
+/// talkers (the original behavior of the subcommand).
+int flow_top_talkers(const ArgParser& args) {
+  const double timeout_s = real_flag(args, "timeout");
+  const std::uint64_t top_n = count_flag(args, "top");
+  auto t = load(args.positionals().at(0), args);
+  if (!t) return fail(t.status());
+  trace::FlowTable table(MicroDuration::from_seconds(timeout_s));
+  table.run(t->view());
+  const auto s = table.stats();
+  std::cout << fmt_count(s.flows) << " flows, " << fmt_count(s.packets)
+            << " packets, " << fmt_count(s.bytes) << " bytes; mean "
+            << fmt_double(s.mean_flow_packets, 2) << " pkts/flow\n\n";
+
+  TextTable top({"src", "dst", "proto", "dport", "packets", "bytes", "sec"});
+  for (const auto& f :
+       table.top_by_packets(static_cast<std::size_t>(top_n))) {
+    top.add_row({f.key.src.to_string(), f.key.dst.to_string(),
+                 net::ip_proto_name(f.key.protocol),
+                 std::to_string(f.key.dst_port), fmt_count(f.packets),
+                 fmt_count(f.bytes), fmt_double(f.duration().to_seconds(), 2)});
+  }
+  top.print(std::cout);
   return 0;
 }
 
@@ -1040,83 +1110,27 @@ int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
 /// workload: estimators x methods x granularities cells that sample the
 /// capture, aggregate sampled flows under memory pressure (--flow-cap),
 /// invert the sampled flow-size distribution, and score the estimate
-/// against the interval's ground truth. Like `sweep`, --workers N shards
-/// the grid over processes and stdout stays byte-diffable across
-/// --jobs/--workers, and --resume replays journaled cells: flow tasks carry
-/// a per-estimator journal-key suffix (docs/FLOWS.md §4), so the two
-/// estimator blocks — identical CellConfigs by design — never alias.
-int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
-              const char* argv0) {
+/// against the interval's ground truth, through the same grid driver as
+/// `sweep`. Flow tasks carry a per-estimator journal-key suffix
+/// (docs/FLOWS.md §4), so the two estimator blocks — identical CellConfigs
+/// by design — never alias under --resume.
+int cmd_flows(const ArgParser& args, const Context& ctx) {
   if (!args.get_bool("sweep")) return flow_top_talkers(args);
-  const ShardFlags flags = shard_flags_from_args(args);
-  const shard::SweepSpec spec = flow_spec_from_args(args);
-
-  exper::CheckpointJournal journal;
-  // Banner on stderr, unlike sweep's: the flows table on stdout must stay
-  // byte-diffable between a resumed and an uninterrupted run.
-  const auto resume = open_resume(args, journal, std::cerr);
-  if (!resume) return fail(resume.status());
-
-  auto t = load(args.positionals().at(0), args, std::cerr);
-  if (!t) return fail(t.status());
-  exper::Experiment ex(std::move(*t));
-
-  const auto grid = shard::build_grid(spec, ex.full(),
-                                      ex.mean_interarrival_usec(),
-                                      &ex.binned_cache());
-
-  exper::RunReport rr;
-  if (flags.workers == 0) {
-    exper::RunOptions ropts;
-    ropts.on_error = exper::FailPolicy::kSkip;
-    ropts.journal = *resume;
-    // The workload hook: identical to what sharded workers run per cell.
-    ropts.cell_runner = [&spec](const exper::CellConfig& cfg,
-                                std::size_t index) {
-      return flow::run_flow_cell(cfg, spec.flow,
-                                 shard::grid_estimator(spec, index));
-    };
-    exper::ParallelRunner runner(common.jobs);
-    rr = runner.run(grid, spec.base_seed, ropts);
-  } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resume);
-  }
-
-  const auto result = as_flow_result(std::move(rr), spec);
-  emit(result.rows, RowFormat::kAligned, std::cout);
-  report_quarantined(result, [&](std::size_t i) {
-    return flow::estimator_name(shard::grid_estimator(spec, i));
-  });
-  if (!result.ok()) return fail(result.status);
-  return 0;
+  return run_grid(args, ctx, flow_spec_from_args(args));
 }
 
 /// `netsample worker` — one sharded-sweep worker, speaking the lease
 /// protocol on stdin/stdout, or dialing a socket coordinator when --connect
 /// is given. Not meant for interactive use; `sweep --workers N` execs these.
-int cmd_worker(ArgParser& args) {
-  if (!args.has("store")) {
-    std::cerr << "error: worker requires --store FILE\n";
-    return kExitUsage;
-  }
+int cmd_worker(const ArgParser& args, const Context&) {
   shard::WorkerOptions wopts;
   wopts.store_path = args.get_string("store");
   wopts.backend = args.get_string("store-backend");
-  const int die = count_flag<int>(args, "die-after", kMaxCount);
-  wopts.die_after_cells = die > 0 ? die : -1;
-  const int depart = count_flag<int>(args, "depart-after", kMaxCount);
-  wopts.depart_after_cells = depart > 0 ? depart : -1;
-  wopts.connect_retries = count_flag<int>(args, "connect-retries", 1000);
-  if (args.has("netfault")) {
-    wopts.netfault = args.get_string("netfault");
-    auto nf = faultsim::parse_netfault_spec(wopts.netfault);
-    if (!nf.has_value()) return fail(nf.status());
-  }
-  if (args.has("connect")) {
-    wopts.connect = args.get_string("connect");
-    auto hp = shard::parse_host_port(wopts.connect);
-    if (!hp.has_value()) return fail(hp.status());
-  }
+  wopts.die_after_cells = drill_flag(args, "die-after");
+  wopts.depart_after_cells = drill_flag(args, "depart-after");
+  wopts.connect_retries = count_flag<int>(args, "connect-retries");
+  wopts.netfault = parsed_flag(args, "netfault", faultsim::parse_netfault_spec);
+  wopts.connect = parsed_flag(args, "connect", shard::parse_host_port);
   const Status status =
       wopts.connect.empty()
           ? shard::run_worker(wopts, STDIN_FILENO, STDOUT_FILENO)
@@ -1125,148 +1139,169 @@ int cmd_worker(ArgParser& args) {
   return 0;
 }
 
-int cmd_journal(ArgParser& args) {
-  const auto& pos = args.positionals();
-  if (pos.size() != 2 || pos[0] != "compact") {
-    std::cerr << "error: usage: netsample journal compact FILE\n";
-    return kExitUsage;
-  }
-  auto stats = exper::CheckpointJournal::compact_file(pos[1]);
+int cmd_journal(const ArgParser& args, const Context&) {
+  const std::string& path = args.positionals().at(1);
+  auto stats = exper::CheckpointJournal::compact_file(path);
   if (!stats) return fail(stats.status());
-  std::cout << "journal " << pos[1] << ": " << stats->lines_before
+  std::cout << "journal " << path << ": " << stats->lines_before
             << " lines -> " << stats->lines_after << " ("
             << stats->duplicate_keys << " superseded, " << stats->dropped_lines
             << " torn/malformed dropped)\n";
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// The command table
+
+struct Command {
+  std::string name;
+  std::string summary;
+  std::string positionals;  // a lowercase word must be given as written
+  std::string flags;        // every flag the handler, or a helper, reads
+  std::string required;     // the flags of those that must be given
+  int (*run)(const ArgParser&, const Context&);
+};
+
+std::vector<std::string> words(const std::string& text) {
+  std::istringstream in(text);
+  return {std::istream_iterator<std::string>(in), {}};
+}
+
+const std::vector<Command>& command_table() {
+  // The flags of the helpers several handlers share: load(),
+  // session_spec_from_args(), and run_grid() with the grid spec and
+  // coordinator options it reads.
+  static const std::string kLoad = " strict salvage";
+  static const std::string kSession =
+      " method k reps seed target window stride population mean-iat chunk "
+      "ring deadline tenant";
+  static const std::string kGrid =
+      " seed reps methods grid-k resume workers store store-backend "
+      "keep-store transport listen heartbeat-interval lease-timeout "
+      "connect-retries netfault chaos-kill-after max-respawns depart-after" +
+      kLoad;
+  static const std::vector<Command> table = {
+      {"generate", "synthesize a calibrated SDSC-like trace to a pcap file",
+       "", "out minutes seed poisson flow-mix", "out", cmd_generate},
+      {"inspect", "summarize a pcap capture (Tables 2/3 style)", "CAPTURE",
+       kLoad, "", cmd_inspect},
+      {"sample", "draw a sampled sub-trace and write it as pcap", "CAPTURE",
+       "method k seed out" + kLoad, "", cmd_sample},
+      {"score", "score a sampling discipline against the capture (phi)",
+       "CAPTURE",
+       "method k reps seed target on-error retries cell-timeout resume" + kLoad,
+       "", cmd_score},
+      {"flows", "top talkers; --sweep runs the sampled-flow inversion grid",
+       "CAPTURE", "timeout top sweep estimators flow-cap em-iters" + kGrid, "",
+       cmd_flows},
+      {"design", "Cochran sample-size planning", "",
+       "mu sigma accuracy confidence population", "", cmd_design},
+      {"charact", "run the NSFNET characterization objects", "CAPTURE",
+       "node k" + kLoad, "", cmd_charact},
+      {"impair", "sweep measurement impairments and report phi degradation",
+       "CAPTURE", "method k reps seed fault intensity csv" + kLoad, "",
+       cmd_impair},
+      {"watch", "stream a capture and emit windowed phi snapshots", "CAPTURE",
+       "format" + kSession, "", cmd_watch},
+      {"serve", "multi-tenant streaming scoring daemon over TCP", "",
+       "listen lanes max-sessions max-ring-bytes max-pps", "", cmd_serve},
+      {"loadgen", "replay a capture as N serve sessions; assert determinism",
+       "CAPTURE",
+       "connect sessions connections seed-groups feed-chunk p99-ms dump-rows "
+       "no-close" + kSession,
+       "connect", cmd_loadgen},
+      {"stats", "pretty-print a --metrics-out JSON snapshot", "METRICS",
+       "masked", "", cmd_stats},
+      {"sweep", "score the method x k grid, in-process or over --workers N",
+       "CAPTURE", "target" + kGrid, "", cmd_sweep},
+      {"worker", "sharded-sweep worker, spawned by sweep (lease protocol)", "",
+       "store store-backend connect connect-retries netfault die-after "
+       "depart-after",
+       "store", cmd_worker},
+      {"journal", "maintain checkpoint journals", "compact JOURNAL", "", "",
+       cmd_journal},
+  };
+  return table;
+}
+
+int usage() {
+  std::cout << "netsample -- packet sampling methodology toolkit\n"
+               "usage: netsample <command> [args]\n\ncommands:\n";
+  for (const Command& c : command_table()) {
+    std::cout << "  " << std::left << std::setw(11) << c.name << c.summary
+              << "\n";
+  }
+  std::cout << "run 'netsample <command> --help' for flags.\n";
+  return kExitUsage;
+}
+
+/// The parser for one subcommand: --help, the common group, and its flags,
+/// each documented with its domain.
+ArgParser parser_for(const Command& c) {
+  ArgParser args;
+  args.add_flag("help", "", "show this help");
+  tools::add_common_flags(args, /*with_pcap=*/false);
+  for (const std::string& name : words(c.flags)) {
+    const Flag& f = flag(name);
+    const Domain& d = f.domain;
+    std::ostringstream help;
+    help << f.help;
+    if (d.kind == Domain::kCount) help << " [" << d.min << ", " << d.max << "]";
+    if (d.kind == Domain::kReal) help << " [0, " << d.bound << "]";
+    if (d.kind == Domain::kChoice) help << ": " << d.choices;
+    args.add_flag(name, f.value, help.str(), f.def);
+  }
+  return args;
+}
+
+/// Arity, required flags and every declared domain (defaults included),
+/// before the handler opens anything. Throws std::invalid_argument (64).
+void check_invocation(const Command& c, const ArgParser& args) {
+  const auto& given = args.positionals();
+  const auto wanted = words(c.positionals);
+  for (std::size_t i = 0; i < std::max(given.size(), wanted.size()); ++i) {
+    if (i >= given.size() || i >= wanted.size() ||
+        (std::islower(wanted[i][0]) && given[i] != wanted[i])) {
+      throw std::invalid_argument(
+          "netsample " + c.name + " takes " +
+          (wanted.empty() ? "no arguments" : c.positionals) +
+          (i < given.size() ? ", not \"" + given[i] + "\"" : ""));
+    }
+  }
+  for (const std::string& name : words(c.required)) {
+    if (!args.has(name)) {
+      throw std::invalid_argument(c.name + " requires --" + name + " " +
+                                  flag(name).value);
+    }
+  }
+  for (const std::string& name : words(c.flags)) {
+    const Flag& f = flag(name);
+    if (!f.value.empty() && args.has(name)) {
+      check_flag(f, args.get_string(name));
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  std::vector<std::string> rest(argv + 2, argv + argc);
+  const Command* cmd = nullptr;
+  for (const Command& c : command_table()) {
+    if (argc >= 2 && c.name == argv[1]) cmd = &c;
+  }
+  if (cmd == nullptr) return usage();
 
-  ArgParser args;
-  args.add_flag("help", "", "show this help");
-  // Declare the union of flags; each command reads what it needs.
-  args.add_flag("minutes", "N", "trace duration in minutes", "10");
-  args.add_flag("seed", "S", "RNG seed", "23");
-  args.add_flag("out", "FILE", "output pcap path");
-  args.add_flag("poisson", "", "disable burst structure (ablation workload)");
-  args.add_flag("method", "M", "sampling method", "systematic");
-  args.add_flag("k", "K", "sampling granularity (1-in-k)", "50");
-  args.add_flag("reps", "R", "replications", "5");
-  args.add_flag("target", "T",
-                "score target: both|size|iat|ports|protocols|netmatrix",
-                "both");
-  args.add_flag("timeout", "SEC", "flow idle timeout seconds", "30");
-  args.add_flag("top", "N", "top talkers to print", "10");
-  args.add_flag("sweep", "",
-                "flows: run the flow-workload sweep (sampled-flow "
-                "aggregation + size-distribution inversion) instead of "
-                "printing top talkers");
-  args.add_flag("estimators", "LIST",
-                "flows --sweep: comma-separated inversion estimators "
-                "(rescale|em)", "rescale,em");
-  args.add_flag("flow-cap", "N",
-                "flows --sweep: sampled-flow table capacity, 0 = unbounded",
-                "0");
-  args.add_flag("em-iters", "N", "flows --sweep: EM iteration budget", "60");
-  args.add_flag("flow-mix", "",
-                "generate: heavy-tailed flow-train mix (Pareto train "
-                "lengths) for the flow workload");
-  args.add_flag("mu", "M", "population mean (design)", "232");
-  args.add_flag("sigma", "S", "population stddev (design)", "236");
-  args.add_flag("accuracy", "R", "accuracy percent (design)", "5");
-  args.add_flag("confidence", "C", "confidence level (design)", "0.95");
-  args.add_flag("population", "N", "population size, 0=infinite", "0");
-  args.add_flag("node", "T", "node type: t1 or t3 (charact)", "t1");
-  args.add_flag("strict", "",
-                "reject corrupt captures outright (exit 65) instead of "
-                "keeping the clean prefix");
-  args.add_flag("salvage", "",
-                "skip corrupt records and resync instead of stopping at the "
-                "first bad header");
-  args.add_flag("on-error", "P",
-                "score: cell failure policy abort|skip|retry", "abort");
-  args.add_flag("retries", "N",
-                "score: extra attempts per failed cell under --on-error retry",
-                "2");
-  args.add_flag("cell-timeout", "SEC",
-                "score: per-cell watchdog deadline, 0 = none", "0");
-  args.add_flag("resume", "FILE",
-                "score/sweep/flows --sweep: checkpoint journal; completed "
-                "cells are replayed from it and new ones appended");
-  args.add_flag("fault", "F",
-                "impair: truncate|bitflip|clock-back|clock-forward|duplicate|"
-                "drop-burst, or 'all'", "all");
-  args.add_flag("intensity", "LIST",
-                "impair: comma-separated per-record probabilities",
-                "0.001,0.01,0.05,0.1");
-  args.add_flag("csv", "", "impair: machine-readable CSV output");
-  args.add_flag("window", "SEC",
-                "watch: rolling window length in seconds, 0 = whole stream",
-                "0");
-  args.add_flag("stride", "SEC",
-                "watch: snapshot period in seconds, 0 = one per window", "0");
-  args.add_flag("format", "F", "watch: output rows as jsonl or csv", "jsonl");
-  args.add_flag("chunk", "N", "watch: packets per pipeline chunk", "4096");
-  args.add_flag("ring", "N", "watch: pipeline ring capacity in chunks", "16");
-  args.add_flag("deadline", "SEC",
-                "watch: wall-clock budget, 0 = none (exit 75 when exceeded)",
-                "0");
-  args.add_flag("mean-iat", "USEC",
-                "watch: population mean interarrival for timer methods", "0");
-  args.add_flag("tenant", "NAME",
-                "watch/loadgen: budget bucket the session bills to",
-                "default");
-  args.add_flag("lanes", "N",
-                "serve: scoring threads shared by all sessions, 0 = one per "
-                "hardware thread", "0");
-  args.add_flag("max-sessions", "N",
-                "serve: per-tenant concurrent-session budget, 0 = unlimited",
-                "0");
-  args.add_flag("max-ring-bytes", "N",
-                "serve: per-tenant queued-packet-bytes budget before "
-                "shedding, 0 = unlimited", "0");
-  args.add_flag("max-pps", "RATE",
-                "serve: per-tenant sustained packets/sec budget (1 s burst), "
-                "0 = unlimited", "0");
-  args.add_flag("sessions", "N", "loadgen: concurrent sessions to replay",
-                "64");
-  args.add_flag("connections", "N",
-                "loadgen: transports the sessions multiplex over", "8");
-  args.add_flag("seed-groups", "N",
-                "loadgen: distinct seeds; sessions within a group must emit "
-                "byte-identical rows", "1");
-  args.add_flag("feed-chunk", "N", "loadgen: packets per FEED line", "512");
-  args.add_flag("p99-ms", "MS",
-                "loadgen: assert p99 CLOSE->CLOSED latency <= MS, 0 = "
-                "report only", "0");
-  args.add_flag("dump-rows", "FILE",
-                "loadgen: write session s0's ROWS payloads here (byte-diff "
-                "vs watch)");
-  args.add_flag("no-close", "",
-                "loadgen: never send CLOSE; wait for the daemon's drain "
-                "(SIGTERM drill)");
-  args.add_flag("masked", "",
-                "stats: print the deterministic-only JSON instead of the "
-                "human table");
-  // --jobs / --metrics-out / --trace-out / --simd come from the
-  // shared vocabulary (tools/cli_args.h) so the CLI and the figure binaries
-  // cannot drift; the capture stays positional here, hence no --pcap.
-  tools::add_common_flags(args, /*with_pcap=*/false);
-  // --workers / --store / --store-backend / ... likewise (sweep + worker).
-  tools::add_sweep_flags(args);
-
-  const auto status = args.parse(rest);
+  ArgParser args = parser_for(*cmd);
+  const auto status = args.parse({argv + 2, argv + argc});
   if (!status.is_ok()) {
     std::cerr << "error: " << status.message() << "\n";
     return kExitUsage;
   }
   if (args.get_bool("help")) {
-    std::cout << "flags for '" << cmd << "':\n" << args.help();
+    std::cout << "usage: netsample " << cmd->name
+              << (cmd->positionals.empty() ? "" : " ") << cmd->positionals
+              << " [flags]\n  " << cmd->summary << "\n\nflags:\n"
+              << args.help();
     return 0;
   }
 
@@ -1284,44 +1319,11 @@ int main(int argc, char** argv) {
   } obs_outputs;
 
   try {
-    const tools::CommonOptions common = tools::read_common_options(args);
-    obs_outputs.metrics_path = common.metrics_out;
-    obs_outputs.trace_path = common.trace_out;
-    if (cmd == "generate") {
-      if (!args.has("out")) {
-        std::cerr << "error: generate requires --out FILE\n";
-        return kExitUsage;
-      }
-      return cmd_generate(args);
-    }
-    if (cmd == "inspect" || cmd == "sample" || cmd == "score" ||
-        cmd == "flows" || cmd == "charact" || cmd == "impair" ||
-        cmd == "watch" || cmd == "sweep" || cmd == "loadgen") {
-      if (args.positionals().empty()) {
-        std::cerr << "error: " << cmd << " requires a pcap file argument\n";
-        return kExitUsage;
-      }
-      if (cmd == "inspect") return cmd_inspect(args);
-      if (cmd == "sample") return cmd_sample(args);
-      if (cmd == "score") return cmd_score(args, common);
-      if (cmd == "flows") return cmd_flows(args, common, argv[0]);
-      if (cmd == "impair") return cmd_impair(args);
-      if (cmd == "watch") return cmd_watch(args);
-      if (cmd == "sweep") return cmd_sweep(args, common, argv[0]);
-      if (cmd == "loadgen") return cmd_loadgen(args);
-      return cmd_charact(args);
-    }
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "worker") return cmd_worker(args);
-    if (cmd == "journal") return cmd_journal(args);
-    if (cmd == "design") return cmd_design(args);
-    if (cmd == "stats") {
-      if (args.positionals().empty()) {
-        std::cerr << "error: stats requires a metrics JSON file argument\n";
-        return kExitUsage;
-      }
-      return cmd_stats(args);
-    }
+    check_invocation(*cmd, args);
+    const Context ctx{tools::read_common_options(args), argv[0]};
+    obs_outputs.metrics_path = ctx.common.metrics_out;
+    obs_outputs.trace_path = ctx.common.trace_out;
+    return cmd->run(args, ctx);
   } catch (const StatusError& e) {
     return fail(e.status());
   } catch (const std::invalid_argument& e) {
@@ -1331,5 +1333,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitInternal;
   }
-  return usage();
 }
