@@ -23,9 +23,10 @@ double mean_phi(trace::TraceView interval, const stats::Histogram& layout,
   double sum = 0.0;
   const int reps = 5;
   for (int r = 0; r < reps; ++r) {
-    core::SystematicCountSampler sampler(
-        k, k * static_cast<std::uint64_t>(r) / reps);
-    const auto sample = core::draw(interval, sampler);
+    const auto sample = core::draw(
+        interval, {.method = core::Method::kSystematicCount,
+                   .granularity = k,
+                   .offset = k * static_cast<std::uint64_t>(r) / reps});
     const auto observed = core::bin_values(
         core::sample_values(sample, core::Target::kPacketSize), layout);
     sum += core::score_sample(observed, population, 1.0 / static_cast<double>(k))

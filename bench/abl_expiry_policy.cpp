@@ -25,15 +25,20 @@ int main() {
     const auto population =
         core::bin_values(core::population_values(interval, target), layout);
     for (std::uint64_t k : {16ULL, 64ULL, 256ULL, 1024ULL}) {
-      const auto period = MicroDuration{static_cast<std::int64_t>(
-          ex.mean_interarrival_usec() * static_cast<double>(k))};
+      // T = mean_iat * k, truncated. A spec rounds mean_iat * granularity,
+      // so granularity 1 with T as the "mean interarrival" keeps T exact.
+      const auto period = static_cast<std::int64_t>(
+          ex.mean_interarrival_usec() * static_cast<double>(k));
       double phi[2];
       std::uint64_t n[2];
       const core::ExpiryPolicy policies[2] = {core::ExpiryPolicy::kCoalesce,
                                               core::ExpiryPolicy::kQueue};
       for (int i = 0; i < 2; ++i) {
-        core::SystematicTimerSampler sampler(period, policies[i]);
-        const auto sample = core::draw(interval, sampler);
+        const auto sample = core::draw(
+            interval, {.method = core::Method::kSystematicTimer,
+                       .granularity = 1,
+                       .mean_interarrival_usec = static_cast<double>(period),
+                       .expiry_policy = policies[i]});
         const auto observed =
             core::bin_values(core::sample_values(sample, target), layout);
         const auto m = core::score_sample(observed, population,

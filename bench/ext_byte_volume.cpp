@@ -38,8 +38,8 @@ int main() {
   TextTable t({"1/x", "est. total MB", "true MB", "err %", "CI covers?",
                "byte-weighted phi"});
   for (std::uint64_t k : exper::granularity_ladder(4, 16384)) {
-    core::SystematicCountSampler sampler(k);
-    const auto sample = core::draw(interval, sampler);
+    const auto sample = core::draw(
+        interval, {.method = core::Method::kSystematicCount, .granularity = k});
 
     std::vector<double> sampled_sizes;
     sampled_sizes.reserve(sample.size());

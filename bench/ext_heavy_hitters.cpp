@@ -12,6 +12,7 @@
 #include "bench_common.h"
 #include "core/categorical.h"
 #include "core/samplers.h"
+#include "core/targets.h"
 #include "stats/heavy_hitters.h"
 
 using namespace netsample;
@@ -39,12 +40,11 @@ int main() {
   // [est, est + bound], which expansion scales by k.
   constexpr std::uint64_t kGranularity = 50;
   constexpr std::size_t kCounters = 64;
-  core::SystematicCountSampler sampler(kGranularity);
   stats::MisraGries<std::uint64_t> mg(kCounters);
-  sampler.begin(view.start_time());
-  for (const auto& p : view) {
-    if (sampler.offer(p)) mg.add(key_fn(p));
-  }
+  const auto sample = core::draw(
+      view, {.method = core::Method::kSystematicCount,
+             .granularity = kGranularity});
+  for (const std::size_t i : sample.indices) mg.add(key_fn(view[i]));
   const std::uint64_t bracket =
       (mg.error_bound() + 1) * kGranularity;  // expanded undercount bound
 

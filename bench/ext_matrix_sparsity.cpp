@@ -36,8 +36,8 @@ int main() {
   TextTable t({"1/x", "sample n", "pairs covered", "coverage %", "phi (full)",
                "phi (top-20)"});
   for (std::uint64_t k : exper::granularity_ladder(4, 16384)) {
-    core::SystematicCountSampler sampler(k);
-    const auto sample = core::draw(interval, sampler);
+    const auto sample = core::draw(
+        interval, {.method = core::Method::kSystematicCount, .granularity = k});
     const auto obs = matrix.sample_counts(sample);
     const double coverage = matrix.coverage(obs);
 

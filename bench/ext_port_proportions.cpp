@@ -42,8 +42,8 @@ int main() {
         cell.mean_interarrival_usec = ex.mean_interarrival_usec();
         cell.replications = reps;
         cell.base_seed = 303;
-        auto sampler = core::make_sampler(exper::replication_spec(cell, r));
-        const auto sample = core::draw(interval, *sampler);
+        const auto sample =
+            core::draw(interval, exper::replication_spec(cell, r));
         const auto obs = target.sample_counts(sample);
         phi_sum += core::score_counts(obs, target.population_counts(),
                                       1.0 / static_cast<double>(k))

@@ -31,9 +31,10 @@ int main() {
     avg.significance = 0.0;  // the struct defaults to 1.0
     double n_avg = 0;
     for (int r = 0; r < reps; ++r) {
-      core::SystematicCountSampler sampler(k, k * static_cast<std::uint64_t>(r) /
-                                                  reps);
-      const auto sample = core::draw(interval, sampler);
+      const auto sample = core::draw(
+          interval, {.method = core::Method::kSystematicCount,
+                     .granularity = k,
+                     .offset = k * static_cast<std::uint64_t>(r) / reps});
       const auto observed =
           core::bin_values(core::sample_values(sample, target), layout);
       const auto m = core::score_sample(observed, population,

@@ -34,8 +34,8 @@ int main() {
   props_row("population", population, 0.0);
 
   for (std::uint64_t k : {4ULL, 64ULL, 256ULL, 4096ULL, 32768ULL}) {
-    core::SystematicCountSampler sampler(k);
-    const auto sample = core::draw(interval, sampler);
+    const auto sample = core::draw(
+        interval, {.method = core::Method::kSystematicCount, .granularity = k});
     const auto observed = core::bin_sample(sample, target);
     const auto m = core::score_sample(observed, population,
                                       1.0 / static_cast<double>(k));

@@ -4,10 +4,10 @@
 // runs in the forwarding path of the T3 subsystems, so its per-packet cost
 // is what bounds the switching capacity impact.
 //
-// The BM_Kernel* group benchmarks the index-emitting kernels
-// (core/select_indices.h) on the same trace and granularities as the
-// streaming BM_* group above them; items/sec is offered packets in both, so
-// the ratio of matching rows is the fast-path speedup per discipline.
+// The BM_Kernel* group times select_indices (core/select_indices.h), the
+// one implementation of each paper method, over the whole trace at k = 50
+// and 1024; items/sec is offered packets. The deprecated streaming classes
+// are timed end to end only by micro_sweep's legacy column.
 //
 // BM_StreamEngine runs stream::Engine in the shape of one serve session:
 // 10 lanes (5 replications x both targets) at k = 50, a 30 s window with a
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/samplers.h"
 #include "core/select_indices.h"
 #include "core/trace_cache.h"
 #include "exper/runner.h"
@@ -35,53 +34,6 @@ const trace::Trace& bench_trace() {
   return t;
 }
 
-void run_sampler(benchmark::State& state, core::Sampler& sampler) {
-  const auto view = bench_trace().view();
-  std::size_t selected = 0;
-  for (auto _ : state) {
-    sampler.begin(view.start_time());
-    for (const auto& p : view) {
-      if (sampler.offer(p)) ++selected;
-    }
-    benchmark::DoNotOptimize(selected);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(view.size()));
-}
-
-void BM_SystematicCount(benchmark::State& state) {
-  core::SystematicCountSampler s(static_cast<std::uint64_t>(state.range(0)));
-  run_sampler(state, s);
-}
-BENCHMARK(BM_SystematicCount)->Arg(50)->Arg(1024);
-
-void BM_StratifiedCount(benchmark::State& state) {
-  core::StratifiedCountSampler s(static_cast<std::uint64_t>(state.range(0)),
-                                 Rng(7));
-  run_sampler(state, s);
-}
-BENCHMARK(BM_StratifiedCount)->Arg(50)->Arg(1024);
-
-void BM_SimpleRandom(benchmark::State& state) {
-  const auto n = bench_trace().size() / static_cast<std::size_t>(state.range(0));
-  core::SimpleRandomSampler s(n, bench_trace().size(), Rng(7));
-  run_sampler(state, s);
-}
-BENCHMARK(BM_SimpleRandom)->Arg(50)->Arg(1024);
-
-void BM_SystematicTimer(benchmark::State& state) {
-  core::SystematicTimerSampler s(
-      MicroDuration{2358 * state.range(0)});
-  run_sampler(state, s);
-}
-BENCHMARK(BM_SystematicTimer)->Arg(50)->Arg(1024);
-
-void BM_StratifiedTimer(benchmark::State& state) {
-  core::StratifiedTimerSampler s(MicroDuration{2358 * state.range(0)}, Rng(7));
-  run_sampler(state, s);
-}
-BENCHMARK(BM_StratifiedTimer)->Arg(50)->Arg(1024);
-
 const core::BinnedTraceCache& bench_cache() {
   static const core::BinnedTraceCache cache(bench_trace().view());
   return cache;
@@ -92,7 +44,7 @@ core::SamplerSpec kernel_spec(core::Method m, std::uint64_t k) {
   spec.method = m;
   spec.granularity = k;
   spec.population = bench_trace().size();
-  spec.mean_interarrival_usec = 2358.0;  // matches the streaming timer args
+  spec.mean_interarrival_usec = 2358.0;
   spec.seed = 7;
   return spec;
 }
@@ -106,8 +58,7 @@ void run_kernel(benchmark::State& state, const core::SamplerSpec& spec) {
     benchmark::DoNotOptimize(indices);
     benchmark::DoNotOptimize(selected);
   }
-  // Offered (not selected) packets, so rows divide against the streaming
-  // group directly.
+  // Offered (not selected) packets.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cache.size()));
 }

@@ -245,9 +245,13 @@ int main(int argc, char** argv) {
       cfg.cache = &cache;
 
       std::vector<double> phi_legacy, phi_scalar, phi_simd;
+      // The legacy column times the deprecated streaming oracle on purpose.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
       const double legacy_ms =
           time_cell(cfg, exper::run_cell_reference, simd::Variant::kScalar,
                     &phi_legacy);
+#pragma GCC diagnostic pop
       const double scalar_ms = time_cell(cfg, exper::run_cell,
                                          simd::Variant::kScalar, &phi_scalar);
       // Bit-identical, not approximately equal: every path feeds the same

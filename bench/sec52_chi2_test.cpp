@@ -32,8 +32,10 @@ int main() {
     int rejected = 0;
     std::vector<double> sigs;
     for (std::uint64_t offset = 0; offset < 50; ++offset) {
-      core::SystematicCountSampler sampler(50, offset);
-      const auto sample = core::draw(interval, sampler);
+      const auto sample = core::draw(
+          interval, {.method = core::Method::kSystematicCount,
+                     .granularity = 50,
+                     .offset = offset});
       const auto observed =
           core::bin_values(core::sample_values(sample, target), layout);
       const auto m = core::score_sample(observed, population, 1.0 / 50.0);

@@ -43,8 +43,7 @@ double variance_of_mean(const trace::Trace& t, core::Method method,
     if (method == core::Method::kSystematicCount) {
       spec.offset = static_cast<std::uint64_t>(r) % k;
     }
-    auto sampler = core::make_sampler(spec);
-    const auto sample = core::draw(t.view(), *sampler);
+    const auto sample = core::draw(t.view(), spec);
     double sum = 0.0;
     for (auto i : sample.indices) sum += static_cast<double>(t[i].size);
     if (!sample.indices.empty()) {

@@ -45,8 +45,8 @@ int main() {
   TextTable table({"1/k", "sampled flows", "naive kx flows", "true flows",
                    "flows seen %", "top-5 byte err %"});
   for (std::uint64_t k : {10ULL, 50ULL, 250ULL}) {
-    core::SystematicCountSampler sampler(k);
-    const auto sample = core::draw(t.view(), sampler);
+    const auto sample = core::draw(
+        t.view(), {.method = core::Method::kSystematicCount, .granularity = k});
     trace::FlowTable sampled_table(MicroDuration::from_seconds(30));
     sampled_table.run(
         packets_to_trace(sample.packets()).view());

@@ -77,8 +77,7 @@ int main() {
       spec.granularity = k;
       spec.population = view.size();
       spec.seed = 13;
-      auto sampler = core::make_sampler(spec);
-      const auto sample = core::draw(view, *sampler);
+      const auto sample = core::draw(view, spec);
       const auto billed = count_by_customer(sample.packets(),
                                             static_cast<double>(k));
       const auto outcome = settle(truth, billed);

@@ -28,8 +28,8 @@ int main() {
             << fmt_double(view.duration().to_seconds(), 1) << " s\n";
 
   // 2. Sample every 50th packet, exactly as the T3 NSFNET backbone did.
-  core::SystematicCountSampler sampler(/*k=*/50);
-  const core::Sample sample = core::draw(view, sampler);
+  const core::Sample sample = core::draw(
+      view, {.method = core::Method::kSystematicCount, .granularity = 50});
   std::cout << "sample:     " << fmt_count(sample.size()) << " packets ("
             << fmt_double(100.0 * sample.fraction(), 2) << "% of traffic)\n\n";
 

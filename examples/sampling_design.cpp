@@ -55,8 +55,10 @@ int main() {
   int within = 0;
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
-    core::StratifiedCountSampler sampler(50, Rng(1000 + t));
-    const auto sample = core::draw(view, sampler);
+    const auto sample =
+        core::draw(view, {.method = core::Method::kStratifiedCount,
+                          .granularity = 50,
+                          .seed = static_cast<std::uint64_t>(1000 + t)});
     stats::MomentAccumulator s;
     for (auto i : sample.indices) s.add(static_cast<double>(view[i].size));
     const double err = 100.0 * std::abs(s.mean() - mu) / mu;

@@ -93,8 +93,8 @@ int main(int argc, char** argv) {
   TextTable t2({"target", "sample n", "phi", "chi2 sig", "verdict @0.05"});
   for (auto target :
        {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
-    core::SystematicCountSampler sampler(k);
-    const auto sample = core::draw(view, sampler);
+    const auto sample = core::draw(
+        view, {.method = core::Method::kSystematicCount, .granularity = k});
     const auto poph = core::bin_population(view, target);
     const auto obsh = core::bin_sample(sample, target);
     const auto m =

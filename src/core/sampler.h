@@ -1,4 +1,4 @@
-// The sampler abstraction (Section 4 of the paper).
+// The per-packet sampler interface (Section 4 of the paper).
 //
 // A Sampler is a streaming, one-pass packet-selection discipline: the
 // forwarding path offers it every packet and it answers "include this one in
@@ -7,8 +7,11 @@
 // sFlow/NetFlow sampled exports later standardized): selection must be
 // decidable online, per packet, with O(1) state.
 //
-// The five disciplines of the paper are concrete Samplers (samplers.h);
-// experiments drive them over TraceViews with draw_sample().
+// The paper's five methods select through core::draw(view, spec)
+// (core/targets.h) since v1.3. This interface stays the supported
+// extension API for per-packet disciplines without a cursor, such as
+// BernoulliSampler and ScheduledStratifiedSampler (samplers.h), driven over
+// a view with draw(view, sampler) or draw_sample_indices().
 #pragma once
 
 #include <memory>
@@ -38,17 +41,18 @@ class Sampler {
 };
 
 /// Drive `sampler` over every packet of `view` (calling begin() with the
-/// view's start time) and collect the selected packets. When `cancel` is
-/// non-null the per-packet loop polls it every util::kCancelPollStride
-/// packets and unwinds with util::StatusError on cancellation or deadline
-/// expiry (the watchdog hook for wedged streaming passes).
-[[nodiscard]] std::vector<trace::PacketRecord> draw_sample(
+/// view's start time) and return the positions it selects, ascending. When
+/// `cancel` is non-null the per-packet loop polls it every
+/// util::kCancelPollStride packets and unwinds with util::StatusError on
+/// cancellation or deadline expiry (the watchdog hook for wedged streaming
+/// passes).
+[[nodiscard]] std::vector<std::size_t> draw_sample_indices(
     trace::TraceView view, Sampler& sampler,
     const util::CancelToken* cancel = nullptr);
 
-/// As draw_sample, but returns the *indices* of selected packets within the
-/// view — used by tests that check selection patterns.
-[[nodiscard]] std::vector<std::size_t> draw_sample_indices(
+/// As draw_sample_indices, but returns the selected packets.
+[[deprecated("use draw(view, sampler).packets(); removed in the next release")]]
+[[nodiscard]] std::vector<trace::PacketRecord> draw_sample(
     trace::TraceView view, Sampler& sampler,
     const util::CancelToken* cancel = nullptr);
 

@@ -35,13 +35,8 @@ std::vector<trace::PacketRecord> draw_sample(trace::TraceView view,
                                              Sampler& sampler,
                                              const util::CancelToken* cancel) {
   std::vector<trace::PacketRecord> out;
-  if (view.empty()) return out;
-  sampler.begin(view.start_time());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    if (cancel != nullptr && i % util::kCancelPollStride == 0) {
-      cancel->throw_if_stopped();
-    }
-    if (sampler.offer(view[i])) out.push_back(view[i]);
+  for (std::size_t i : draw_sample_indices(view, sampler, cancel)) {
+    out.push_back(view[i]);
   }
   return out;
 }
@@ -343,6 +338,10 @@ std::uint64_t spec_simple_random_n(const SamplerSpec& spec) {
       1, (spec.population + spec.granularity / 2) / spec.granularity);
 }
 
+// make_sampler is the deprecated oracle factory: it alone still builds the
+// deprecated classes.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 std::unique_ptr<Sampler> make_sampler(const SamplerSpec& spec) {
   if (spec.granularity == 0) {
     throw std::invalid_argument("sampler spec: granularity must be >= 1");
@@ -371,5 +370,6 @@ std::unique_ptr<Sampler> make_sampler(const SamplerSpec& spec) {
   }
   throw std::invalid_argument("sampler spec: unknown method");
 }
+#pragma GCC diagnostic pop
 
 }  // namespace netsample::core

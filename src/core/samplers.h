@@ -1,10 +1,17 @@
-// The five sampling disciplines studied by the paper, plus a factory.
+// The paper's sampling vocabulary (Section 4): the method taxonomy, the
+// SamplerSpec every selection path reads, and the per-packet Samplers.
 //
 //   packet-count triggered:  systematic, stratified random, simple random
 //   timer triggered:         systematic, stratified random
 //
-// All are streaming (O(1) state per pass) so they model an operational
-// firmware implementation, not just an offline simulation.
+// Since v1.3 callers select a spec's sample with core::draw(view, spec)
+// (core/targets.h), which runs the one implementation of the five methods,
+// core::SelectCursor. The five streaming classes below and make_sampler
+// are deprecated: they stay for one release as the correctness oracle the
+// identity tests compare the cursor against, then move to a test-only
+// target. BernoulliSampler and ScheduledStratifiedSampler are not paper
+// methods and have no cursor: they stay, with Sampler, as the supported
+// per-packet extension API (docs/API.md).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +45,9 @@ enum class Method {
 
 /// Deterministic 1-in-k: selects packets at positions offset, offset+k, ...
 /// (offset in [0,k)). This is the NSFNET operational discipline with k=50.
-class SystematicCountSampler final : public Sampler {
+class [[deprecated(
+    "use core::draw(view, spec); removed in the next release")]]
+SystematicCountSampler final : public Sampler {
  public:
   /// Throws std::invalid_argument unless k >= 1 and offset < k.
   explicit SystematicCountSampler(std::uint64_t k, std::uint64_t offset = 0);
@@ -57,7 +66,9 @@ class SystematicCountSampler final : public Sampler {
 
 /// Stratified random 1-in-k: each consecutive bucket of k packets
 /// contributes one packet, chosen uniformly at random within the bucket.
-class StratifiedCountSampler final : public Sampler {
+class [[deprecated(
+    "use core::draw(view, spec); removed in the next release")]]
+StratifiedCountSampler final : public Sampler {
  public:
   StratifiedCountSampler(std::uint64_t k, Rng rng);
 
@@ -78,7 +89,9 @@ class StratifiedCountSampler final : public Sampler {
 /// is selected with probability (remaining to select)/(remaining to see).
 /// Streaming, but requires N up front — in the operational setting N comes
 /// from the previous collection cycle's packet count.
-class SimpleRandomSampler final : public Sampler {
+class [[deprecated(
+    "use core::draw(view, spec); removed in the next release")]]
+SimpleRandomSampler final : public Sampler {
  public:
   /// Throws std::invalid_argument if n > population.
   SimpleRandomSampler(std::uint64_t n, std::uint64_t population, Rng rng);
@@ -168,7 +181,9 @@ enum class ExpiryPolicy {
 /// deadline has passed, the next arriving packet is selected. `phase`
 /// shifts the deadline grid and is how replications of this deterministic
 /// method are built (the analogue of the systematic/count start offset).
-class SystematicTimerSampler final : public Sampler {
+class [[deprecated(
+    "use core::draw(view, spec); removed in the next release")]]
+SystematicTimerSampler final : public Sampler {
  public:
   /// Throws std::invalid_argument unless period > 0 and 0 <= phase < period.
   explicit SystematicTimerSampler(MicroDuration period,
@@ -191,7 +206,9 @@ class SystematicTimerSampler final : public Sampler {
 /// instant is drawn uniformly; the first packet at or after that instant is
 /// selected (windows whose trigger fires during an idle gap select the next
 /// packet to arrive, once).
-class StratifiedTimerSampler final : public Sampler {
+class [[deprecated(
+    "use core::draw(view, spec); removed in the next release")]]
+StratifiedTimerSampler final : public Sampler {
  public:
   StratifiedTimerSampler(MicroDuration period, Rng rng);
 
@@ -238,11 +255,11 @@ struct SamplerSpec {
 
 /// Build a sampler; throws std::invalid_argument on inconsistent specs
 /// (e.g. simple random without a population, timer without mean interarrival).
+[[deprecated("use core::draw(view, spec); removed in the next release")]]
 [[nodiscard]] std::unique_ptr<Sampler> make_sampler(const SamplerSpec& spec);
 
-// Derived quantities of a spec, shared by make_sampler and the
-// index-emitting kernels (core/select_indices.h) so the two paths cannot
-// diverge in how they interpret a spec.
+// Derived quantities of a spec, shared by the cursor (core/select_indices.h)
+// and the oracle classes so the two cannot diverge in how they read a spec.
 
 /// Timer period T = round(mean_iat * k); throws std::invalid_argument when
 /// the spec lacks a positive mean interarrival or the period rounds to 0.

@@ -16,20 +16,22 @@
 // Every method is one SelectCursor: a kernel whose loop state (next
 // position, bucket, RNG, Algorithm S counts, pending deadline) lives in the
 // object, so a pass may be offered in consecutive spans of any length and
-// selects exactly what one span over the whole range would. select_indices
-// is a cursor begun at the range's first packet and advanced over the whole
-// range; stream::Engine advances one cursor per distinct spec chunk by
-// chunk. Batch and streaming selection therefore share one implementation
-// per method. The fresh whole-range case of stratified/count and simple
-// random may instead take the batched SIMD kernels (core/simd/simd.h),
-// which replay the same RNG words.
+// selects exactly what one span over the whole range would. Every caller
+// selects through one (API v1.3): select_indices is a cursor begun at the
+// range's first packet and advanced over the whole range (run_cell, flow
+// cells); stream::Engine advances one cursor per distinct spec chunk by
+// chunk (watch, serve); core::draw(view, spec) (core/targets.h) advances
+// one over a plain view block by block (the CLI's sample and categorical
+// score, the examples, the figure binaries). The fresh whole-range case of
+// stratified/count and simple random may instead take the batched SIMD
+// kernels (core/simd/simd.h), which replay the same RNG words.
 //
 // The cursors replay the streaming samplers' RNG call sequences exactly, so
 // for every valid SamplerSpec the returned (view-relative, ascending) index
 // set is BIT-IDENTICAL to the streaming one — asserted per-method by the
 // randomized equivalence suite in tests/test_select_indices.cpp and over
-// the full figure grid in tests/test_fastpath.cpp. The streaming hierarchy
-// stays as the operational/firmware model and the correctness oracle.
+// the full figure grid in tests/test_fastpath.cpp. The five streaming
+// classes (deprecated since v1.3) are now only that oracle.
 #pragma once
 
 #include <cstddef>

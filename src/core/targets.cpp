@@ -1,6 +1,9 @@
 #include "core/targets.h"
 
+#include <algorithm>
 #include <atomic>
+
+#include "core/select_indices.h"
 
 namespace netsample::core {
 
@@ -22,6 +25,40 @@ std::vector<trace::PacketRecord> Sample::packets() const {
 double Sample::fraction() const {
   if (parent.empty()) return 0.0;
   return static_cast<double>(indices.size()) / static_cast<double>(parent.size());
+}
+
+Sample draw(trace::TraceView view, const SamplerSpec& spec,
+            const util::CancelToken* cancel) {
+  SelectCursor cursor(spec);
+  Sample out{view, {}};
+  if (view.empty()) return out;
+  cursor.begin(view.start_time().usec);
+  std::vector<std::uint64_t> ts;
+  for (std::size_t b = 0; b < view.size(); b += util::kCancelPollStride) {
+    util::throw_if_stopped(cancel);
+    ts.resize(std::min(util::kCancelPollStride, view.size() - b));
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ts[i] = view[b + i].timestamp.usec;
+    }
+    cursor.advance(ts, &out.indices);
+  }
+  return out;
+}
+
+std::string sampler_name(const SamplerSpec& spec) {
+  const SelectCursor validated(spec);
+  const std::string method = method_name(spec.method);
+  switch (spec.method) {
+    case Method::kSimpleRandom:
+      return method + "(" + std::to_string(spec_simple_random_n(spec)) + "/" +
+             std::to_string(spec.population) + ")";
+    case Method::kSystematicTimer:
+    case Method::kStratifiedTimer:
+      return method + "(T=" + std::to_string(spec_timer_period(spec).usec) +
+             "us)";
+    default:
+      return method + "(1/" + std::to_string(spec.granularity) + ")";
+  }
 }
 
 Sample draw(trace::TraceView view, Sampler& sampler,

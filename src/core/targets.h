@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/sampler.h"
+#include "core/samplers.h"
 #include "stats/histogram.h"
 #include "trace/trace.h"
 
@@ -55,8 +56,25 @@ struct Sample {
   [[nodiscard]] double fraction() const;
 };
 
-/// Run `sampler` over `view` and collect the selected positions. `cancel`
-/// is forwarded to the streaming loop (see draw_sample_indices).
+/// The sample `spec` selects from `view`, a run of packets in arrival
+/// order (every Trace's view is one). One core::SelectCursor, begun at the
+/// view's first packet, runs over the view's timestamps in blocks of
+/// util::kCancelPollStride packets; `cancel`, when non-null, is polled
+/// before each block and unwinds with util::StatusError. The indices are
+/// exactly those draw_sample_indices(view, *make_sampler(spec)) returns.
+/// Throws std::invalid_argument on an inconsistent spec, even for an empty
+/// view.
+[[nodiscard]] Sample draw(trace::TraceView view, const SamplerSpec& spec,
+                          const util::CancelToken* cancel = nullptr);
+
+/// The label of `spec`'s discipline, as `netsample sample` prints it:
+/// "systematic/count(1/50)", "simple-random(n/N)",
+/// "stratified/timer(T=118000us)". Validates like draw.
+[[nodiscard]] std::string sampler_name(const SamplerSpec& spec);
+
+/// Run a per-packet `sampler` (the extension API, core/sampler.h) over
+/// `view` and collect the selected positions. `cancel` is forwarded to the
+/// streaming loop (see draw_sample_indices).
 [[nodiscard]] Sample draw(trace::TraceView view, Sampler& sampler,
                           const util::CancelToken* cancel = nullptr);
 

@@ -1,7 +1,7 @@
 #include "core/trace_cache.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/bin_ladders.h"
 #include "core/simd/simd.h"
@@ -102,14 +102,6 @@ BinnedTraceCache::BinnedTraceCache(trace::TraceView base,
     maps.increment();
     packets.add(n);
   }
-}
-
-std::size_t BinnedTraceCache::lower_bound_time(std::uint64_t t, std::size_t lo,
-                                               std::size_t hi) const {
-  const auto first = ts_.begin() + static_cast<std::ptrdiff_t>(lo);
-  const auto last = ts_.begin() + static_cast<std::ptrdiff_t>(hi);
-  return static_cast<std::size_t>(std::lower_bound(first, last, t) -
-                                  ts_.begin());
 }
 
 stats::Histogram BinnedTraceCache::population_histogram(Target t,

@@ -20,9 +20,7 @@
 //
 // The cache is read-only after construction and is shared by all workers of
 // a parallel sweep (see docs/PARALLELISM.md). Layer 2, the index-emitting
-// sampler kernels that consume it, lives in core/select_indices.h. The
-// streaming Sampler hierarchy remains the operational model and the
-// correctness oracle (exper::run_cell_reference).
+// sampler kernels that consume it, lives in core/select_indices.h.
 #pragma once
 
 #include <cstdint>
@@ -97,13 +95,6 @@ class BinnedTraceCache {
   [[nodiscard]] std::size_t offset_of(trace::TraceView view) const {
     return base_.offset_of(view);
   }
-
-  /// First index in [lo, hi) whose timestamp is >= t, or hi if none. No
-  /// kernel calls it since the timer cursors search timestamps() directly.
-  [[deprecated(
-      "use std::lower_bound over timestamps(); removed in the next release")]]
-  [[nodiscard]] std::size_t lower_bound_time(std::uint64_t t, std::size_t lo,
-                                             std::size_t hi) const;
 
   /// Population histogram of the range [begin, end) for `t`, computed from
   /// the prefix-sum tables in O(bins). Bit-identical counts to

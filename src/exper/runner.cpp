@@ -140,8 +140,6 @@ CellResult score_cell(const CellConfig& config,
 
 }  // namespace
 
-bool cell_uses_fast_path(const CellConfig& /*config*/) { return true; }
-
 CellResult run_cell(const CellConfig& config) {
   validate_cell(config);
   util::throw_if_stopped(config.cancel);
@@ -154,6 +152,9 @@ CellResult run_cell(const CellConfig& config) {
   return score_cell(config, local, 0);
 }
 
+// The oracle drives the deprecated per-packet classes through make_sampler.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 CellResult run_cell_reference(const CellConfig& config) {
   validate_cell(config);
   util::throw_if_stopped(config.cancel);
@@ -175,6 +176,7 @@ CellResult run_cell_reference(const CellConfig& config) {
   }
   return result;
 }
+#pragma GCC diagnostic pop
 
 std::vector<CellResult> sweep_granularity(
     CellConfig base, const std::vector<std::uint64_t>& granularities) {

@@ -73,11 +73,8 @@ struct CellResult {
 /// pins this over the full figure grid); tests and the micro_sweep harness
 /// compare against it. Ignores config.cache; polls config.cancel at entry,
 /// between replications and inside the per-packet loop. Records no metrics.
+[[deprecated("use run_cell; removed in the next release")]]
 [[nodiscard]] CellResult run_cell_reference(const CellConfig& config);
-
-/// Always true since v1.2: every cell runs through the index kernels.
-[[deprecated("run_cell has a single path; removed in the next release")]]
-[[nodiscard]] bool cell_uses_fast_path(const CellConfig& config);
 
 /// Sweep granularities for a fixed method/target/interval (Figures 6-9):
 /// run_cell once per rung. The population histogram costs O(bins) per rung,

@@ -15,10 +15,15 @@
 //   Substrate       Status/StatusOr, CancelToken, Rng, MicroTime, ArgParser
 //   Traces          trace::Trace/TraceView, flows, summaries, pcap I/O
 //   Synthesis       synth:: traffic models and presets
-//   Sampling        core:: samplers, targets, φ metrics, design helpers
-//   Experiments     exper:: Experiment, CellConfig/run_cell, the streaming
-//                   oracle run_cell_reference (v1.2), sweeps,
-//                   ParallelRunner, checkpoint journal
+//   Sampling        core:: draw(view, spec) and sampler_name (v1.3), which
+//                   select through the one SelectCursor per method;
+//                   SamplerSpec; the per-packet Sampler extension API
+//                   (BernoulliSampler, ScheduledStratifiedSampler);
+//                   targets, φ metrics, design helpers. The five streaming
+//                   paper samplers and make_sampler are deprecated (v1.3)
+//   Experiments     exper:: Experiment, CellConfig/run_cell, sweeps,
+//                   ParallelRunner, checkpoint journal; the streaming
+//                   oracle run_cell_reference is deprecated (v1.3)
 //   Flow workload   flow:: sampled-flow tables, flow-size distributions,
 //                   inversion estimators, run_flow_cell
 //   Streaming       stream:: Engine, sources, SPSC ring, run_pipeline

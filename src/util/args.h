@@ -33,6 +33,11 @@ class ArgParser {
   /// True if the flag appeared (or has a default).
   [[nodiscard]] bool has(const std::string& name) const;
 
+  /// True if the flag appeared on the command line; a default does not count.
+  [[nodiscard]] bool given(const std::string& name) const {
+    return values_.count(name) != 0;
+  }
+
   /// Typed getters. Throw std::invalid_argument if absent (use has()), or
   /// if the value cannot be converted.
   [[nodiscard]] std::string get_string(const std::string& name) const;

@@ -22,7 +22,12 @@ ReferenceEngine::ReferenceEngine(std::vector<LaneSpec> lanes,
   lanes_.reserve(lanes.size());
   for (auto& spec : lanes) {
     Lane lane;
+    // The oracle runs the deprecated streaming classes (v1.3).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
     lane.sampler = core::make_sampler(spec.spec);  // throws on bad specs
+#pragma GCC diagnostic pop
+
     const auto& layout = spec.target == core::Target::kPacketSize
                              ? size_layout_
                              : gap_layout_;

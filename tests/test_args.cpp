@@ -21,6 +21,9 @@ TEST(ArgParser, PositionalsAndFlags) {
   EXPECT_EQ(p.positionals()[0], "trace.pcap");
   EXPECT_EQ(p.get_int("k"), 100);
   EXPECT_TRUE(p.get_bool("verbose"));
+  EXPECT_TRUE(p.given("k"));
+  EXPECT_TRUE(p.given("verbose"));
+  EXPECT_FALSE(p.given("rate"));  // has() is true: it has a default
 }
 
 TEST(ArgParser, DefaultsApply) {
@@ -31,6 +34,7 @@ TEST(ArgParser, DefaultsApply) {
   EXPECT_FALSE(p.get_bool("verbose"));
   EXPECT_TRUE(p.has("k"));
   EXPECT_FALSE(p.has("out"));
+  EXPECT_FALSE(p.given("k"));  // a default is not a given flag
 }
 
 TEST(ArgParser, EqualsSyntax) {

@@ -149,8 +149,8 @@ TEST(CategoricalTarget, SystematicSamplingAliasesOnPeriodicData) {
   CategoricalTarget target("pairs", network_pair_key(), t.view());
   EXPECT_EQ(target.category_count(), 5u);
 
-  SystematicCountSampler sampler(10);
-  const auto s = draw(t.view(), sampler);
+  const auto s =
+      draw(t.view(), {.method = Method::kSystematicCount, .granularity = 10});
   const auto counts = target.sample_counts(s);
   EXPECT_DOUBLE_EQ(target.coverage(counts), 0.2);
   const auto m = score_counts(counts, target.population_counts(), 0.1);
@@ -164,8 +164,9 @@ TEST(CategoricalTarget, StratifiedSamplingDefeatsPeriodicity) {
   auto t = periodic_trace();
   CategoricalTarget target("pairs", network_pair_key(), t.view());
 
-  StratifiedCountSampler sampler(10, Rng(21));
-  const auto s = draw(t.view(), sampler);
+  const auto s = draw(t.view(), {.method = Method::kStratifiedCount,
+                                  .granularity = 10,
+                                  .seed = 21});
   const auto counts = target.sample_counts(s);
   EXPECT_DOUBLE_EQ(target.coverage(counts), 1.0);
   const auto m = score_counts(counts, target.population_counts(), 0.1);

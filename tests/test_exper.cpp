@@ -62,6 +62,8 @@ TEST_F(ExperTest, RunCellValidation) {
   EXPECT_THROW((void)run_cell(cfg), std::invalid_argument);
 }
 
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 // k = 0 is refused with one message by every entry point, before anything
 // divides by it: replication_spec computes rep % k for systematic/count.
 TEST_F(ExperTest, ZeroGranularityIsRefusedByEveryEntryPoint) {
@@ -89,6 +91,7 @@ TEST_F(ExperTest, ZeroGranularityIsRefusedByEveryEntryPoint) {
     expect_refused([&] { return run_cell_reference(cfg); });
   }
 }
+#pragma GCC diagnostic pop
 
 TEST_F(ExperTest, ReplicationSpecsVarySystematicOffsets) {
   CellConfig cfg;

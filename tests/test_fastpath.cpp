@@ -16,6 +16,11 @@
 #include "exper/runner.h"
 #include "obs/metrics.h"
 
+// run_cell_reference and make_sampler are deprecated since v1.3: this suite
+// compares the production path against them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
 namespace netsample {
 namespace {
 
@@ -271,3 +276,4 @@ TEST_F(FastPathTest, SweepHelpersAgreeAcrossPathsAndThreadCounts) {
 
 }  // namespace
 }  // namespace netsample
+#pragma GCC diagnostic pop

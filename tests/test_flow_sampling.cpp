@@ -99,7 +99,10 @@ TEST_F(FlowSamplingTest, KernelFedMatchesStreamingFedRecords) {
       for (int r = 0; r < cfg.replications; ++r) {
         const core::SamplerSpec spec = exper::replication_spec(cfg, r);
         const auto kernel_idx = core::select_indices(spec, cache, begin, end);
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
         auto sampler = core::make_sampler(spec);
+#pragma GCC diagnostic pop
         const auto stream_idx =
             core::draw_sample_indices(cfg.interval, *sampler);
         ASSERT_EQ(kernel_idx, stream_idx)

@@ -92,8 +92,7 @@ TEST_F(IntegrationTest, TimerBiasSkewsInterarrivalsTowardLargeValues) {
   spec.method = core::Method::kSystematicTimer;
   spec.granularity = 64;
   spec.mean_interarrival_usec = ex_->mean_interarrival_usec();
-  auto sampler = core::make_sampler(spec);
-  const auto sample = core::draw(interval, *sampler);
+  const auto sample = core::draw(interval, spec);
   const auto obs = core::bin_sample(sample, core::Target::kInterarrivalTime);
   const auto obs_props = obs.proportions();
 
@@ -121,8 +120,7 @@ TEST_F(IntegrationTest, WaitingTimeParadoxIsQuantitative) {
   spec.method = core::Method::kSystematicTimer;
   spec.granularity = 128;
   spec.mean_interarrival_usec = ex_->mean_interarrival_usec();
-  auto sampler = core::make_sampler(spec);
-  const auto sample = core::draw(interval, *sampler);
+  const auto sample = core::draw(interval, spec);
   const auto sampled_gaps =
       core::sample_values(sample, core::Target::kInterarrivalTime);
   ASSERT_GT(sampled_gaps.size(), 100u);
@@ -139,8 +137,7 @@ TEST_F(IntegrationTest, WaitingTimeParadoxIsQuantitative) {
   // Packet-count sampling shows no such inflation.
   core::SamplerSpec unbiased = spec;
   unbiased.method = core::Method::kSystematicCount;
-  auto count_sampler = core::make_sampler(unbiased);
-  const auto count_sample = core::draw(interval, *count_sampler);
+  const auto count_sample = core::draw(interval, unbiased);
   const auto count_gaps =
       core::sample_values(count_sample, core::Target::kInterarrivalTime);
   double c_sum = 0.0;
@@ -187,8 +184,8 @@ TEST_F(IntegrationTest, PcapRoundTripPreservesExperimentResults) {
 
   // The same sampler on the reloaded trace yields identical phi.
   auto score = [&](trace::TraceView v) {
-    core::SystematicCountSampler s(16);
-    const auto sample = core::draw(v, s);
+    const auto sample = core::draw(
+        v, {.method = core::Method::kSystematicCount, .granularity = 16});
     const auto pop = core::bin_population(v, core::Target::kPacketSize);
     const auto obs = core::bin_sample(sample, core::Target::kPacketSize);
     return core::score_sample(obs, pop, 1.0 / 16.0).phi;

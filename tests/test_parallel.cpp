@@ -411,7 +411,9 @@ TEST_F(ParallelPolicyTest, RetryCompletesAllCellsAfterTransientFailure) {
   ASSERT_TRUE(report.all_ok());
   EXPECT_EQ(report.cells[2].attempts, 2);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (i != 2) EXPECT_EQ(report.cells[i].attempts, 1) << "cell " << i;
+    if (i != 2) {
+      EXPECT_EQ(report.cells[i].attempts, 1) << "cell " << i;
+    }
   }
   // The retry ran under a different derived seed than attempt 0 would have.
   const auto reference = serial.run(tasks, 23);

@@ -10,6 +10,11 @@
 
 #include "core/targets.h"
 
+// The five paper classes and make_sampler are deprecated since v1.3; this
+// suite pins the oracle's own contract until it moves to a test-only target.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
 namespace netsample::core {
 namespace {
 
@@ -480,3 +485,4 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace netsample::core
+#pragma GCC diagnostic pop

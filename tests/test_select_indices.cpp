@@ -1,19 +1,28 @@
 // Randomized equivalence suite for the index-emitting kernels: for fuzzed
 // SamplerSpecs — all five methods, random granularities (including k > N),
 // seeds, offsets, phases, both expiry policies — over ragged sub-views of
-// traces with bursts and long idle gaps, core::select_indices must return
-// EXACTLY the index set the streaming samplers produce. The streaming
-// hierarchy is the oracle; any divergence is a fast-path bug by definition.
+// traces with bursts and long idle gaps, core::select_indices and
+// core::draw(view, spec) must return EXACTLY the index set the streaming
+// samplers produce. The streaming hierarchy is the oracle; any divergence
+// is a fast-path bug by definition.
 #include "core/select_indices.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/samplers.h"
+#include "core/targets.h"
 #include "core/trace_cache.h"
+#include "util/cancel.h"
 #include "util/rng.h"
+
+// make_sampler is deprecated since v1.3: this suite compares the cursor
+// against the streaming oracle it builds.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace netsample::core {
 namespace {
@@ -69,21 +78,27 @@ SamplerSpec fuzz_spec(Rng& rng, std::size_t view_size) {
   return spec;
 }
 
+std::string describe(const SamplerSpec& spec) {
+  return std::string(method_name(spec.method)) +
+         " k=" + std::to_string(spec.granularity) +
+         " seed=" + std::to_string(spec.seed) +
+         " offset=" + std::to_string(spec.offset) +
+         " phase=" + std::to_string(spec.timer_phase_usec) +
+         " population=" + std::to_string(spec.population) + " policy=" +
+         (spec.expiry_policy == ExpiryPolicy::kCoalesce ? "coalesce" : "queue");
+}
+
 void expect_kernel_matches_streaming(const SamplerSpec& spec,
                                      const BinnedTraceCache& cache,
                                      std::size_t b, std::size_t e) {
   const auto view = subview(cache.base(), b, e);
   auto sampler = make_sampler(spec);
   const auto expected = draw_sample_indices(view, *sampler);
-  const auto got = select_indices(spec, cache, b, e);
-  EXPECT_EQ(got, expected) << method_name(spec.method) << " k="
-                           << spec.granularity << " seed=" << spec.seed
-                           << " offset=" << spec.offset << " phase="
-                           << spec.timer_phase_usec << " policy="
-                           << (spec.expiry_policy == ExpiryPolicy::kCoalesce
-                                   ? "coalesce"
-                                   : "queue")
-                           << " range=[" << b << "," << e << ")";
+  const std::string where =
+      describe(spec) + " range=[" + std::to_string(b) + "," +
+      std::to_string(e) + ")";
+  EXPECT_EQ(select_indices(spec, cache, b, e), expected) << where;
+  EXPECT_EQ(draw(view, spec).indices, expected) << "draw " << where;
 }
 
 TEST(SelectIndices, FuzzedSpecsMatchStreamingSamplersExactly) {
@@ -146,6 +161,8 @@ TEST(SelectIndices, EmptyIntervalSelectsNothing) {
     spec.granularity = 8;
     spec.mean_interarrival_usec = 1000.0;
     EXPECT_TRUE(select_indices(spec, cache, 40, 40).empty()) << method_name(m);
+    EXPECT_TRUE(draw(trace::TraceView{}, spec).indices.empty())
+        << method_name(m);
   }
   // Simple random over an empty interval: population 0 is invalid on both
   // paths (make_sampler throws the same way).
@@ -154,7 +171,68 @@ TEST(SelectIndices, EmptyIntervalSelectsNothing) {
   sr.granularity = 8;
   sr.population = 0;
   EXPECT_THROW((void)select_indices(sr, cache, 40, 40), std::invalid_argument);
+  EXPECT_THROW((void)draw(trace::TraceView{}, sr), std::invalid_argument);
   EXPECT_THROW((void)make_sampler(sr), std::invalid_argument);
+}
+
+TEST(SelectIndices, DrawMatchesStreamingSamplersAcrossPollBlocks) {
+  // Views longer than util::kCancelPollStride: the cursor resumes across
+  // the blocks draw() feeds it, and must select what one pass would.
+  const auto t = fuzz_trace(41, 2 * util::kCancelPollStride + 777);
+  const BinnedTraceCache cache(t.view());
+  Rng rng(13);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t b = rng.uniform_below(t.size() / 4);
+    const std::size_t e = t.size() - rng.uniform_below(t.size() / 4);
+    SamplerSpec spec = fuzz_spec(rng, e - b);
+    spec.granularity = 1 + rng.uniform_below(4096);  // dense in every block
+    spec.offset = rng.uniform_below(spec.granularity);
+    expect_kernel_matches_streaming(spec, cache, b, e);
+  }
+  // Simple random with a declared population shorter or longer than the
+  // view: packets past it are never offered a draw, on both paths.
+  for (std::uint64_t population :
+       {1ULL, 100ULL, util::kCancelPollStride + 1ULL, t.size() + 1000ULL}) {
+    SamplerSpec spec;
+    spec.method = Method::kSimpleRandom;
+    spec.granularity = 7;
+    spec.population = population;
+    spec.seed = population;
+    expect_kernel_matches_streaming(spec, cache, 0, t.size());
+  }
+}
+
+TEST(SelectIndices, DrawThrowsOnAStoppedToken) {
+  const auto t = fuzz_trace(53, 100);
+  SamplerSpec spec;
+  spec.granularity = 4;
+  util::CancelToken cancelled;
+  cancelled.cancel();
+  EXPECT_THROW((void)draw(t.view(), spec, &cancelled), StatusError);
+  util::CancelToken expired;
+  expired.set_deadline_after(1e-9);
+  EXPECT_THROW((void)draw(t.view(), spec, &expired), StatusError);
+  util::CancelToken live;
+  EXPECT_EQ(draw(t.view(), spec, &live).indices, draw(t.view(), spec).indices);
+}
+
+TEST(SelectIndices, SamplerNameMatchesTheOracle) {
+  for (auto m : {Method::kSystematicCount, Method::kStratifiedCount,
+                 Method::kSimpleRandom, Method::kSystematicTimer,
+                 Method::kStratifiedTimer}) {
+    for (std::uint64_t k : {1ULL, 50ULL, 4096ULL}) {
+      SamplerSpec spec;
+      spec.method = m;
+      spec.granularity = k;
+      spec.population = 49654;
+      spec.mean_interarrival_usec = 2417.3;
+      EXPECT_EQ(sampler_name(spec), make_sampler(spec)->name())
+          << describe(spec);
+    }
+  }
+  SamplerSpec timer;
+  timer.method = Method::kSystematicTimer;  // no mean interarrival
+  EXPECT_THROW((void)sampler_name(timer), std::invalid_argument);
 }
 
 TEST(SelectIndices, GranularityLargerThanPopulation) {
@@ -170,6 +248,7 @@ TEST(SelectIndices, GranularityLargerThanPopulation) {
     spec.mean_interarrival_usec = 500.0;
     spec.seed = 77;
     expect_kernel_matches_streaming(spec, cache, 0, t.size());
+    expect_kernel_matches_streaming(spec, cache, 7, 8);  // one packet
   }
 }
 
@@ -193,6 +272,7 @@ TEST(SelectIndices, InvalidSpecsThrowLikeMakeSampler) {
                std::invalid_argument);
   // ... even over an empty range, exactly like make_sampler.
   EXPECT_THROW((void)select_indices(timer, cache, 5, 5), std::invalid_argument);
+  EXPECT_THROW((void)draw(trace::TraceView{}, timer), std::invalid_argument);
 
   EXPECT_THROW((void)select_indices(spec, cache, 15, 10), std::out_of_range);
   EXPECT_THROW((void)select_indices(spec, cache, 0, t.size() + 1),
@@ -212,3 +292,4 @@ TEST(SelectIndices, SystematicCountIsPureStride) {
 
 }  // namespace
 }  // namespace netsample::core
+#pragma GCC diagnostic pop

@@ -512,7 +512,10 @@ TEST_F(SimdGridTest, FullGridPhiBitIdenticalAcrossVariantsAndJobs) {
     VariantGuard guard(simd::best_variant());
     exper::RunOptions opts;
     opts.cell_runner = [](const exper::CellConfig& cfg, std::size_t) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
       return exper::run_cell_reference(cfg);
+#pragma GCC diagnostic pop
     };
     exper::ParallelRunner serial(1);
     exper::RunReport report = serial.run(tasks, 23, opts);

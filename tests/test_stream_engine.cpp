@@ -129,7 +129,11 @@ TEST(StreamEngine, SelectedIndicesMatchBatchSamplers) {
 
     ASSERT_EQ(engine.lane_indices().size(), 3u);
     for (int r = 0; r < cfg.replications; ++r) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
       auto sampler = core::make_sampler(exper::replication_spec(cfg, r));
+#pragma GCC diagnostic pop
+
       const auto want = core::draw_sample_indices(cfg.interval, *sampler);
       EXPECT_EQ(engine.lane_indices()[static_cast<std::size_t>(r)], want)
           << core::method_name(method) << " r" << r;

@@ -126,8 +126,8 @@ TEST(BinValues, CustomLayout) {
 
 TEST(Draw, MatchesSamplerIndices) {
   auto t = make_trace();
-  SystematicCountSampler s(2);
-  const auto sample = draw(t.view(), s);
+  const auto sample = draw(
+      t.view(), {.method = Method::kSystematicCount, .granularity = 2});
   EXPECT_EQ(sample.indices, (std::vector<std::size_t>{0, 2, 4}));
 }
 

@@ -130,23 +130,6 @@ TEST(BinnedTraceCache, ContainsAndOffsetOf) {
   EXPECT_FALSE(cache.contains(trace::TraceView{}));
 }
 
-// lower_bound_time is deprecated in v1.2 and goes in v1.3; until then its
-// contract stays pinned here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(BinnedTraceCache, LowerBoundTime) {
-  const auto view = shared_trace().view();
-  const BinnedTraceCache cache(view);
-  const auto ts = cache.timestamps();
-  EXPECT_EQ(cache.lower_bound_time(ts[0], 0, cache.size()), 0u);
-  EXPECT_EQ(cache.lower_bound_time(ts.back() + 1, 0, cache.size()),
-            cache.size());
-  const std::size_t j = cache.lower_bound_time(ts[42] + 1, 0, cache.size());
-  EXPECT_GT(j, 42u);
-  EXPECT_TRUE(j == cache.size() || ts[j] > ts[42]);
-}
-#pragma GCC diagnostic pop
-
 TEST(HistogramWithCounts, BuildsAndValidates) {
   const std::vector<double> edges = {10.0, 20.0};
   const auto h = stats::Histogram::with_counts(edges, {3, 4, 5});

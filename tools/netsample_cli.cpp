@@ -91,6 +91,7 @@ struct Flag {
   std::optional<std::string> def;
   Domain domain;
   std::string help;
+  std::string command = "";  // the one subcommand it is for; empty: all
 };
 
 /// Throws std::invalid_argument naming the flag unless `text` is in its
@@ -136,7 +137,9 @@ std::string names(const std::vector<T>& all, Name name) {
 }
 
 /// Every flag a subcommand reads, each declared once, apart from the common
-/// group tools::add_common_flags declares for the figure binaries too.
+/// group tools::add_common_flags declares for the figure binaries too. A
+/// subcommand that reads a flag with a domain of its own has a declaration
+/// for it alone, ahead of the shared one.
 const std::vector<Flag>& flag_table() {
   static const Domain any = count(0, kAnyCount), counts = count(0, kMaxCount);
   static const Domain number = real(kMaxReal);
@@ -158,7 +161,9 @@ const std::vector<Flag>& flag_table() {
       {"reps", "R", "5", count(1, kMaxReps), "replications"},
       {"target", "T", "both",
        choice("both|size|iat|ports|protocols|netmatrix"),
-       "score target (sweep, watch and loadgen take both|size|iat)"},
+       "paper histogram(s), or port/protocol/network-pair proportions",
+       "score"},
+      {"target", "T", "both", choice("both|size|iat"), "paper histogram(s)"},
       {"population", "N", "0", any, "population size, 0 = infinite"},
       {"resume", "FILE", {}, {}, "checkpoint journal: replay its cells"},
       {"on-error", "P", "abort", choice("abort|skip|retry"), "failure policy"},
@@ -235,9 +240,12 @@ const std::vector<Flag>& flag_table() {
   return table;
 }
 
-const Flag& flag(const std::string& name) {
+/// The declaration of --name that `command` reads.
+const Flag& flag(const std::string& name, const std::string& command = "") {
   for (const Flag& f : flag_table()) {
-    if (f.name == name) return f;
+    if (f.name == name && (f.command.empty() || f.command == command)) {
+      return f;
+    }
   }
   throw std::logic_error("undeclared flag --" + name);
 }
@@ -294,6 +302,32 @@ std::string parsed_flag(const ArgParser& args, const std::string& name,
 
 // ---------------------------------------------------------------------------
 // Subcommands
+
+std::vector<std::string> words(const std::string& text) {
+  std::istringstream in(text);
+  return {std::istream_iterator<std::string>(in), {}};
+}
+
+// Flags that only one mode of a subcommand reads: run_grid()'s grid and
+// coordinator flags, flows --sweep's inversion parameters, and the
+// ParallelRunner flags of score's histogram targets.
+const char* const kGridFlags =
+    "seed reps methods grid-k resume workers store store-backend keep-store "
+    "transport listen heartbeat-interval lease-timeout connect-retries "
+    "netfault chaos-kill-after max-respawns depart-after";
+const char* const kFlowSweepFlags = "estimators flow-cap em-iters";
+const char* const kRunnerFlags = "on-error retries cell-timeout resume";
+
+/// A mode reads fewer of its subcommand's flags: each of `flags` given on
+/// the command line is a usage error (64) naming it.
+void refuse_flags(const ArgParser& args, const std::string& mode,
+                  const std::string& flags) {
+  for (const std::string& name : words(flags)) {
+    if (args.given(name)) {
+      throw std::invalid_argument(mode + " does not take --" + name);
+    }
+  }
+}
 
 struct Context {
   tools::CommonOptions common;
@@ -413,12 +447,12 @@ int cmd_sample(const ArgParser& args, const Context&) {
   exper::Experiment ex(std::move(*t));
   spec.population = ex.population_size();
   spec.mean_interarrival_usec = ex.mean_interarrival_usec();
-  auto sampler = core::make_sampler(spec);
 
-  const auto sample = core::draw(ex.full(), *sampler);
+  const auto sample = core::draw(ex.full(), spec);
   trace::Trace sampled(sample.packets());
-  std::cout << sampler->name() << " selected " << fmt_count(sampled.size())
-            << " of " << fmt_count(ex.population_size()) << " packets ("
+  std::cout << core::sampler_name(spec) << " selected "
+            << fmt_count(sampled.size()) << " of "
+            << fmt_count(ex.population_size()) << " packets ("
             << fmt_double(100.0 * sample.fraction(), 3) << "%)\n";
   if (args.has("out")) {
     const std::string out = args.get_string("out");
@@ -430,6 +464,14 @@ int cmd_sample(const ArgParser& args, const Context&) {
 }
 
 int cmd_score(const ArgParser& args, const Context& ctx) {
+  // Proportion-based (Section 8) targets score through the categorical
+  // machinery, one replication after another with no runner behind them;
+  // "both" / "size" / "iat" use the paper's histogram targets.
+  const std::string which = args.get_string("target");
+  const bool categorical =
+      which == "ports" || which == "protocols" || which == "netmatrix";
+  if (categorical) refuse_flags(args, "score --target " + which, kRunnerFlags);
+
   exper::CellConfig cfg;
   cfg.method = shard::parse_method_token(args.get_string("method"));
   cfg.granularity = count_flag(args, "k");
@@ -450,19 +492,15 @@ int cmd_score(const ArgParser& args, const Context& ctx) {
   cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
   cfg.cache = &ex.binned_cache();
 
-  const std::string which = args.get_string("target");
-
-  // Proportion-based (Section 8) targets score through the categorical
-  // machinery; "both" / "size" / "iat" use the paper's histogram targets.
-  if (which == "ports" || which == "protocols" || which == "netmatrix") {
+  if (categorical) {
     const auto key_fn = which == "ports"       ? core::service_port_key()
                         : which == "protocols" ? core::protocol_key()
                                                : core::network_pair_key();
     const core::CategoricalTarget target(which, key_fn, cfg.interval);
     TextTable table({"replication", "phi", "chi2 sig", "coverage %"});
     for (int r = 0; r < cfg.replications; ++r) {
-      auto sampler = core::make_sampler(exper::replication_spec(cfg, r));
-      const auto sample = core::draw(cfg.interval, *sampler);
+      const auto sample =
+          core::draw(cfg.interval, exper::replication_spec(cfg, r));
       const auto counts = target.sample_counts(sample);
       const auto m =
           core::score_counts(counts, target.population_counts(),
@@ -1115,7 +1153,12 @@ int flow_top_talkers(const ArgParser& args) {
 /// (docs/FLOWS.md §4), so the two estimator blocks — identical CellConfigs
 /// by design — never alias under --resume.
 int cmd_flows(const ArgParser& args, const Context& ctx) {
-  if (!args.get_bool("sweep")) return flow_top_talkers(args);
+  if (!args.get_bool("sweep")) {
+    refuse_flags(args, "flows without --sweep",
+                 std::string(kGridFlags) + " " + kFlowSweepFlags);
+    return flow_top_talkers(args);
+  }
+  refuse_flags(args, "flows --sweep", "top");
   return run_grid(args, ctx, flow_spec_from_args(args));
 }
 
@@ -1162,11 +1205,6 @@ struct Command {
   int (*run)(const ArgParser&, const Context&);
 };
 
-std::vector<std::string> words(const std::string& text) {
-  std::istringstream in(text);
-  return {std::istream_iterator<std::string>(in), {}};
-}
-
 const std::vector<Command>& command_table() {
   // The flags of the helpers several handlers share: load(),
   // session_spec_from_args(), and run_grid() with the grid spec and
@@ -1175,11 +1213,7 @@ const std::vector<Command>& command_table() {
   static const std::string kSession =
       " method k reps seed target window stride population mean-iat chunk "
       "ring deadline tenant";
-  static const std::string kGrid =
-      " seed reps methods grid-k resume workers store store-backend "
-      "keep-store transport listen heartbeat-interval lease-timeout "
-      "connect-retries netfault chaos-kill-after max-respawns depart-after" +
-      kLoad;
+  static const std::string kGrid = std::string(" ") + kGridFlags + kLoad;
   static const std::vector<Command> table = {
       {"generate", "synthesize a calibrated SDSC-like trace to a pcap file",
        "", "out minutes seed poisson flow-mix", "out", cmd_generate},
@@ -1189,11 +1223,11 @@ const std::vector<Command>& command_table() {
        "method k seed out" + kLoad, "", cmd_sample},
       {"score", "score a sampling discipline against the capture (phi)",
        "CAPTURE",
-       "method k reps seed target on-error retries cell-timeout resume" + kLoad,
-       "", cmd_score},
+       std::string("method k reps seed target ") + kRunnerFlags + kLoad, "",
+       cmd_score},
       {"flows", "top talkers; --sweep runs the sampled-flow inversion grid",
-       "CAPTURE", "timeout top sweep estimators flow-cap em-iters" + kGrid, "",
-       cmd_flows},
+       "CAPTURE", std::string("timeout top sweep ") + kFlowSweepFlags + kGrid,
+       "", cmd_flows},
       {"design", "Cochran sample-size planning", "",
        "mu sigma accuracy confidence population", "", cmd_design},
       {"charact", "run the NSFNET characterization objects", "CAPTURE",
@@ -1242,7 +1276,7 @@ ArgParser parser_for(const Command& c) {
   args.add_flag("help", "", "show this help");
   tools::add_common_flags(args, /*with_pcap=*/false);
   for (const std::string& name : words(c.flags)) {
-    const Flag& f = flag(name);
+    const Flag& f = flag(name, c.name);
     const Domain& d = f.domain;
     std::ostringstream help;
     help << f.help;
@@ -1271,11 +1305,11 @@ void check_invocation(const Command& c, const ArgParser& args) {
   for (const std::string& name : words(c.required)) {
     if (!args.has(name)) {
       throw std::invalid_argument(c.name + " requires --" + name + " " +
-                                  flag(name).value);
+                                  flag(name, c.name).value);
     }
   }
   for (const std::string& name : words(c.flags)) {
-    const Flag& f = flag(name);
+    const Flag& f = flag(name, c.name);
     if (!f.value.empty() && args.has(name)) {
       check_flag(f, args.get_string(name));
     }
