@@ -85,13 +85,13 @@ void BM_KernelSystematicTimer(benchmark::State& state) {
   run_kernel(state, kernel_spec(core::Method::kSystematicTimer,
                                 static_cast<std::uint64_t>(state.range(0))));
 }
-BENCHMARK(BM_KernelSystematicTimer)->Arg(50)->Arg(1024);
+BENCHMARK(BM_KernelSystematicTimer)->Arg(2)->Arg(50)->Arg(1024);
 
 void BM_KernelStratifiedTimer(benchmark::State& state) {
   run_kernel(state, kernel_spec(core::Method::kStratifiedTimer,
                                 static_cast<std::uint64_t>(state.range(0))));
 }
-BENCHMARK(BM_KernelStratifiedTimer)->Arg(50)->Arg(1024);
+BENCHMARK(BM_KernelStratifiedTimer)->Arg(2)->Arg(50)->Arg(1024);
 
 void BM_StreamEngine(benchmark::State& state) {
   constexpr core::Method kMethods[] = {

@@ -8,7 +8,7 @@
 //
 // Demonstrates the pcap reader/writer, the population summaries, and the
 // phi scoring on real files.
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <string>
 
@@ -68,7 +68,16 @@ int main(int argc, char** argv) {
     }
   } else {
     path = argv[1];
-    if (argc > 2) k = std::strtoull(argv[2], nullptr, 10);
+    if (argc > 2) {
+      const std::string arg = argv[2];
+      const char* end = arg.data() + arg.size();
+      const auto parsed = std::from_chars(arg.data(), end, k);
+      if (parsed.ec != std::errc() || parsed.ptr != end || k == 0) {
+        std::cerr << "trace_inspector: k must be a whole number >= 1, got '"
+                  << arg << "'\n";
+        return 64;
+      }
+    }
   }
 
   pcap::DecodeStats dstats;
@@ -84,7 +93,7 @@ int main(int argc, char** argv) {
   print_summary(*loaded);
 
   // What would a 1-in-k systematic sample preserve?
-  if (loaded->size() < 2 * k) {
+  if (loaded->size() / 2 < k) {
     std::cout << "\n(trace too small for a 1/" << k << " sampling report)\n";
     return 0;
   }

@@ -16,6 +16,33 @@ namespace netsample::core {
 // stratified cursors draw a bucket's winner when the previous one is
 // emitted, not when the bucket opens), which no output can observe.
 
+namespace {
+
+/// First position p >= from with ts[p] >= deadline (ts.size() when there is
+/// none): the lower_bound of [from, end), found by galloping forward from
+/// `from` in steps of 1, 2, 4, ... and binary-searching the last bracket.
+/// A timer's next selection is usually close to its last one, so this costs
+/// O(log distance) where lower_bound over the whole rest costs O(log n).
+std::size_t gallop(std::span<const std::uint64_t> ts, std::size_t from,
+                   std::uint64_t deadline) {
+  const std::size_t n = ts.size();
+  if (from >= n || ts[from] >= deadline) return from;
+  std::size_t lo = from;  // ts[lo] < deadline
+  std::size_t hi = from + 1;
+  for (std::size_t step = 1; hi < n && ts[hi] < deadline;) {
+    lo = hi;
+    step *= 2;
+    hi = lo + step;
+  }
+  hi = std::min(hi, n);  // the answer lies in (lo, hi]
+  const auto first = ts.begin() + static_cast<std::ptrdiff_t>(lo + 1);
+  const auto last = ts.begin() + static_cast<std::ptrdiff_t>(hi);
+  return static_cast<std::size_t>(std::lower_bound(first, last, deadline) -
+                                  ts.begin());
+}
+
+}  // namespace
+
 SelectCursor::SelectCursor(const SamplerSpec& spec)
     : method_(spec.method), k_(spec.granularity), seed_(spec.seed) {
   // Mirrors make_sampler and the Sampler constructors' checks.
@@ -125,17 +152,14 @@ void SelectCursor::advance(std::span<const std::uint64_t> ts,
     case Method::kSystematicTimer: {
       // A packet at time ts is selected iff floor((ts - start) / T) exceeds
       // the expiries already consumed, i.e. iff ts >= next_ — so each
-      // selection is one binary search for that deadline. Under kCoalesce
+      // selection is one galloping search for that deadline. Under kCoalesce
       // all deadlines that elapsed by the selected packet collapse; under
       // kQueue exactly one is consumed per selection (and the search must
       // resume past the selected packet, which a streaming pass cannot
       // re-offer).
       std::size_t j = 0;
       while (j < n && ts[n - 1] >= next_) {
-        j = static_cast<std::size_t>(
-            std::lower_bound(ts.begin() + static_cast<std::ptrdiff_t>(j),
-                             ts.end(), next_) -
-            ts.begin());
+        j = gallop(ts, j, next_);
         out->push_back(static_cast<std::size_t>(pos_ + j));
         consumed_ = queue_ ? consumed_ + 1 : (ts[j] - start_) / k_;
         next_ = start_ + (consumed_ + 1) * k_;
@@ -151,10 +175,7 @@ void SelectCursor::advance(std::span<const std::uint64_t> ts,
       Rng rng = rng_;
       std::size_t j = 0;
       while (j < n && ts[n - 1] >= next_) {
-        j = static_cast<std::size_t>(
-            std::lower_bound(ts.begin() + static_cast<std::ptrdiff_t>(j),
-                             ts.end(), next_) -
-            ts.begin());
+        j = gallop(ts, j, next_);
         out->push_back(static_cast<std::size_t>(pos_ + j));
         consumed_ = std::max(consumed_ + 1, (ts[j] - start_) / k_ + 1);
         next_ = start_ + consumed_ * k_ + rng.uniform_below(k_);

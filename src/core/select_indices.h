@@ -10,8 +10,8 @@
 //   stratified/count   O(n)                       O(n/k)   one RNG draw/bucket
 //   simple random      O(n)                       O(n)     Algorithm S, branch-
 //                                                          light, early exit
-//   systematic/timer   O(n)                       O(s log n)  binary search
-//   stratified/timer   O(n)                       O(s log n)  per deadline
+//   systematic/timer   O(n)                       O(s log(n/s))  galloping
+//   stratified/timer   O(n)                       O(s log(n/s))  per deadline
 //
 // Every method is one SelectCursor: a kernel whose loop state (next
 // position, bucket, RNG, Algorithm S counts, pending deadline) lives in the

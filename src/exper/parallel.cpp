@@ -3,8 +3,11 @@
 #include <time.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <future>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -97,77 +100,172 @@ void ParallelRunner::publish_pool_stats() {
 
 namespace {
 
-/// Run one cell in isolation under the sweep's fault policy: every failure
-/// mode (throw, injected fault, cancellation, deadline) becomes a Status on
-/// the outcome instead of escaping into the pool. Retries re-derive the
-/// cell seed per attempt so they are deterministic yet independent draws.
-CellOutcome execute_cell(CellConfig cfg, std::size_t index,
-                         const RunOptions& opts,
-                         const util::CancelToken* sweep_cancel) {
-  const std::uint64_t cell_seed = cfg.base_seed;
+/// What target twins share: every derived-config field but `target`. The
+/// seed covers interval_index; the mean interarrival compares by bits.
+using TwinKey =
+    std::tuple<core::Method, std::uint64_t, const trace::PacketRecord*,
+               std::size_t, std::uint64_t, int, std::uint64_t,
+               const core::BinnedTraceCache*>;
+
+TwinKey twin_key(const CellConfig& c) {
+  return {c.method,
+          c.granularity,
+          c.interval.packets().data(),
+          c.interval.size(),
+          std::bit_cast<std::uint64_t>(c.mean_interarrival_usec),
+          c.replications,
+          c.base_seed,
+          c.cache};
+}
+
+/// The Status a failed attempt reports: a StatusError keeps its own; any
+/// other exception becomes kInternal with the exception's own text, as a
+/// shard worker's FAIL reply does.
+Status failure_status(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const StatusError& e) {
+    return e.status();
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInternal, e.what());
+  }
+}
+
+/// Run one twin group -- tasks whose derived configs differ only in target
+/// (a single task when a cell_runner is set) -- in isolation under the
+/// sweep's fault policy; returns one outcome per member, in member order.
+/// Every failure mode (throw, injected fault, cancellation, deadline)
+/// becomes a Status on the member's outcome instead of escaping into the
+/// pool. At attempt a the sweep-cancel check and the fault injector run per
+/// member; the members left run the attempt together, sharing its seed
+/// (a == 0 ? cell seed : derive_seed({cell seed, a})), its watchdog token
+/// and one selection per replication. A member whose own scoring throws
+/// fails alone; a throw from the shared work fails every member of the
+/// attempt. Failed members retry under kRetry, without the ones done.
+std::vector<CellOutcome> execute_group(const std::vector<CellConfig>& configs,
+                                       const std::vector<std::size_t>& members,
+                                       const RunOptions& opts,
+                                       const util::CancelToken* sweep_cancel) {
+  const std::uint64_t cell_seed = configs[members.front()].base_seed;
   const int attempts_allowed = opts.on_error == FailPolicy::kRetry
                                    ? std::max(1, opts.max_attempts)
                                    : 1;
-  CellOutcome out;
-  // Every executed attempt gets a timing record, finishing it inside the
-  // catch handlers too — a retried cell's wall-clock history must show all
-  // attempts, not just the one that finally succeeded.
-  auto finish_attempt = [&out](const std::chrono::steady_clock::time_point& w0,
-                               double c0) {
+  std::vector<CellOutcome> outs(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    outs[m].result.config = configs[members[m]];
+  }
+  using Clock = std::chrono::steady_clock;
+  // Every executed attempt gets a timing record, a failed one too: a
+  // retried cell's wall-clock history must show all its attempts.
+  auto finish = [](CellOutcome& out, double wall, double cpu) {
     AttemptRecord& rec = out.attempt_log.back();
     rec.status = out.status;
-    rec.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - w0)
-            .count();
-    rec.cpu_seconds = thread_cpu_seconds() - c0;
+    rec.wall_seconds = wall;
+    rec.cpu_seconds = cpu;
   };
-  for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
-    // A sweep-wide cancel always wins: don't start (or retry) doomed work.
-    if (sweep_cancel != nullptr && sweep_cancel->cancel_requested()) {
-      out.status = Status(StatusCode::kCancelled, "sweep cancelled");
-      out.exception = nullptr;
-      return out;
-    }
-    ++out.attempts;
-    cfg.base_seed = attempt == 0
-                        ? cell_seed
-                        : derive_seed({cell_seed,
-                                       static_cast<std::uint64_t>(attempt)});
-    out.attempt_log.push_back(AttemptRecord{Status::ok(), cfg.base_seed, 0, 0});
-    const auto wall_start = std::chrono::steady_clock::now();
-    const double cpu_start = thread_cpu_seconds();
-    util::CancelToken token;  // per-cell watchdog, chained to the sweep token
-    token.link_parent(sweep_cancel);
-    token.set_deadline_after(opts.cell_timeout_seconds);
-    cfg.cancel = &token;
-    try {
-      obs::Span attempt_span("attempt");
-      if (opts.fault_injector) {
-        const Status injected = opts.fault_injector(index, attempt);
-        if (!injected.is_ok()) throw StatusError(injected);
+  auto seconds_since = [](const Clock::time_point& start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  auto fail = [](CellOutcome& out, std::exception_ptr error) {
+    out.status = failure_status(error);
+    out.exception = std::move(error);
+  };
+  // External cancellation is not the cell's fault; retrying would just
+  // observe it again.
+  auto retriable = [](const CellOutcome& out) {
+    return !out.status.is_ok() && out.status.code() != StatusCode::kCancelled;
+  };
+
+  std::vector<std::size_t> pending(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) pending[m] = m;
+  for (int attempt = 0; attempt < attempts_allowed && !pending.empty();
+       ++attempt) {
+    const std::uint64_t seed =
+        attempt == 0
+            ? cell_seed
+            : derive_seed({cell_seed, static_cast<std::uint64_t>(attempt)});
+    std::vector<std::size_t> runnable, retry;
+    for (const std::size_t m : pending) {
+      CellOutcome& out = outs[m];
+      // A sweep-wide cancel always wins: don't start (or retry) doomed work.
+      if (sweep_cancel != nullptr && sweep_cancel->cancel_requested()) {
+        out.status = Status(StatusCode::kCancelled, "sweep cancelled");
+        out.exception = nullptr;
+        continue;
       }
-      out.result = opts.cell_runner ? opts.cell_runner(cfg, index)
-                                    : run_cell(cfg);
-      out.result.config.cancel = nullptr;  // the token dies with this frame
-      out.status = Status::ok();
-      out.exception = nullptr;
-      finish_attempt(wall_start, cpu_start);
-      return out;
-    } catch (const StatusError& e) {
-      out.status = e.status();
-      out.exception = std::current_exception();
-      finish_attempt(wall_start, cpu_start);
-      // External cancellation is not the cell's fault; retrying would just
-      // observe it again.
-      if (e.status().code() == StatusCode::kCancelled) return out;
-    } catch (const std::exception& e) {
-      out.status =
-          Status(StatusCode::kInternal, std::string("run_cell: ") + e.what());
-      out.exception = std::current_exception();
-      finish_attempt(wall_start, cpu_start);
+      ++out.attempts;
+      out.attempt_log.push_back(AttemptRecord{Status::ok(), seed, 0, 0});
+      if (opts.fault_injector) {
+        const auto wall_start = Clock::now();
+        const double cpu_start = thread_cpu_seconds();
+        std::exception_ptr injected;
+        try {
+          const Status st = opts.fault_injector(members[m], attempt);
+          if (!st.is_ok()) throw StatusError(st);
+        } catch (const std::exception&) {
+          injected = std::current_exception();
+        }
+        if (injected) {
+          fail(out, std::move(injected));
+          finish(out, seconds_since(wall_start),
+                 thread_cpu_seconds() - cpu_start);
+          if (retriable(out)) retry.push_back(m);
+          continue;
+        }
+      }
+      runnable.push_back(m);
     }
+    if (!runnable.empty()) {
+      util::CancelToken token;  // per-attempt watchdog, chained to the sweep
+      token.link_parent(sweep_cancel);
+      token.set_deadline_after(opts.cell_timeout_seconds);
+      CellConfig cfg = configs[members[runnable.front()]];
+      cfg.base_seed = seed;
+      cfg.cancel = &token;
+      const auto wall_start = Clock::now();
+      const double cpu_start = thread_cpu_seconds();
+      std::vector<TwinResult> scored;
+      std::exception_ptr shared;
+      try {
+        obs::Span attempt_span("attempt");
+        if (opts.cell_runner) {
+          scored.push_back({opts.cell_runner(cfg, members[runnable.front()]),
+                            nullptr});
+        } else {
+          std::vector<core::Target> targets;
+          for (const std::size_t m : runnable) {
+            targets.push_back(configs[members[m]].target);
+          }
+          scored = run_twins(cfg, targets);
+        }
+      } catch (const std::exception&) {
+        shared = std::current_exception();
+      }
+      // The members split the shared attempt's time equally, so summed
+      // attempt times never exceed the time the pool spent.
+      const auto share = static_cast<double>(runnable.size());
+      const double wall = seconds_since(wall_start) / share;
+      const double cpu = (thread_cpu_seconds() - cpu_start) / share;
+      for (std::size_t j = 0; j < runnable.size(); ++j) {
+        CellOutcome& out = outs[runnable[j]];
+        if (shared) {
+          fail(out, shared);
+        } else if (scored[j].error) {
+          fail(out, scored[j].error);
+        } else {
+          out.result = std::move(scored[j].result);
+          out.result.config.cancel = nullptr;  // the token dies with this frame
+          out.status = Status::ok();
+          out.exception = nullptr;
+        }
+        finish(out, wall, cpu);
+        if (retriable(out)) retry.push_back(runnable[j]);
+      }
+    }
+    std::sort(retry.begin(), retry.end());
+    pending = std::move(retry);
   }
-  return out;
+  return outs;
 }
 
 /// Fold one collected outcome into the obs registry. Runs on the
@@ -243,49 +341,67 @@ RunReport ParallelRunner::run(const std::vector<GridTask>& tasks,
   }
 
   // Under kAbort the first genuine failure trips this token and the cells
-  // that have not started come back kCancelled; external cancellation
+  // whose group has not started come back kCancelled; external cancellation
   // (opts.cancel) propagates through the parent link under every policy.
   util::CancelToken abort_token;
   abort_token.link_parent(opts.cancel);
-
-  // Trace chain: sweep (this thread) → cell (worker thread, explicit parent
-  // because thread-locals do not follow tasks through the pool) → attempt /
-  // kernel spans (implicit, same-thread).
-  obs::Span sweep_span("sweep");
-  const std::uint64_t sweep_span_id = sweep_span.id();
-
-  auto run_one = [&opts, &abort_token, sweep_span_id](const CellConfig& cfg,
-                                                      std::size_t index) {
-    obs::Span cell_span("cell", sweep_span_id);
-    CellOutcome out = execute_cell(cfg, index, opts, &abort_token);
-    if (opts.on_error == FailPolicy::kAbort && !out.status.is_ok() &&
-        out.status.code() != StatusCode::kCancelled) {
-      abort_token.cancel();
-    }
-    return out;
-  };
 
   auto replay_from_journal =
       [&](std::size_t i) -> const std::vector<core::DisparityMetrics>* {
     return opts.journal != nullptr ? opts.journal->find(keys[i]) : nullptr;
   };
 
+  // One pool task per twin group of the cells to execute. A cell_runner is
+  // opaque, so under one every cell is its own group.
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> group_of(tasks.size());
+  std::vector<std::size_t> slot_of(tasks.size());
+  std::map<TwinKey, std::size_t> group_by_key;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (replay_from_journal(i) != nullptr) continue;
+    std::size_t g = groups.size();
+    if (!opts.cell_runner) {
+      g = group_by_key.try_emplace(twin_key(configs[i]), g).first->second;
+    }
+    if (g == groups.size()) groups.emplace_back();
+    group_of[i] = g;
+    slot_of[i] = groups[g].size();
+    groups[g].push_back(i);
+  }
+
+  // Trace chain: sweep (this thread) → cell (one per group, on a worker
+  // thread, explicit parent because thread-locals do not follow tasks
+  // through the pool) → attempt / kernel spans (implicit, same-thread).
+  obs::Span sweep_span("sweep");
+  const std::uint64_t sweep_span_id = sweep_span.id();
+
+  auto run_group = [&](std::size_t g) {
+    obs::Span cell_span("cell", sweep_span_id);
+    auto outs = execute_group(configs, groups[g], opts, &abort_token);
+    if (opts.on_error == FailPolicy::kAbort &&
+        std::any_of(outs.begin(), outs.end(), [](const CellOutcome& out) {
+          return !out.status.is_ok() &&
+                 out.status.code() != StatusCode::kCancelled;
+        })) {
+      abort_token.cancel();
+    }
+    return outs;
+  };
+
   RunReport report;
   report.cells.resize(tasks.size());
 
-  // Fan the non-journaled cells out (or run them inline at jobs == 1),
-  // then collect in task order: journaled cells replay from disk, computed
-  // OK cells are checkpointed, and the on_cell_done hook observes every
-  // outcome in a deterministic order on this thread.
-  std::vector<std::future<CellOutcome>> futures(tasks.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (replay_from_journal(i) != nullptr) continue;
-    if (pool_) {
-      const CellConfig& cfg = configs[i];
-      futures[i] = pool_->submit([&run_one, cfg, i]() { return run_one(cfg, i); });
+  // Fan the groups out (or run each inline, at its first member, at
+  // jobs == 1), then collect in task order: journaled cells replay from
+  // disk, computed OK cells are checkpointed, and the on_cell_done hook
+  // observes every outcome in a deterministic order on this thread.
+  std::vector<std::future<std::vector<CellOutcome>>> futures(groups.size());
+  if (pool_) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      futures[g] = pool_->submit([&run_group, g] { return run_group(g); });
     }
   }
-
+  std::vector<std::vector<CellOutcome>> outcomes(groups.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     CellOutcome& out = report.cells[i];
     if (const auto* reps = replay_from_journal(i)) {
@@ -294,7 +410,11 @@ RunReport ParallelRunner::run(const std::vector<GridTask>& tasks,
       out.result.replications = *reps;
       out.from_journal = true;
     } else {
-      out = pool_ ? futures[i].get() : run_one(configs[i], i);
+      auto& group = outcomes[group_of[i]];
+      if (group.empty()) {
+        group = pool_ ? futures[group_of[i]].get() : run_group(group_of[i]);
+      }
+      out = std::move(group[slot_of[i]]);
       if (out.status.is_ok() && opts.journal != nullptr) {
         // A checkpoint write failure does not invalidate the computed cell;
         // it only costs re-execution on a future resume.
@@ -303,6 +423,11 @@ RunReport ParallelRunner::run(const std::vector<GridTask>& tasks,
     }
     record_cell_metrics(out);
     if (opts.on_cell_done) opts.on_cell_done(i, out.status);
+  }
+  // A group goes uncollected when a duplicate journal key served all its
+  // members from the journal; its task still references this frame.
+  for (auto& f : futures) {
+    if (f.valid()) f.wait();
   }
   publish_pool_stats();
   return report;

@@ -3,7 +3,10 @@
 //
 // The paper's evaluation is embarrassingly parallel — every cell scores an
 // independent sample against a shared read-only parent population — so each
-// cell becomes one pool task operating on a TraceView span (no copies).
+// twin group (the cells of one grid point that differ only in target, which
+// select identical index sets) becomes one pool task operating on a
+// TraceView span (no copies), selecting once per replication for all its
+// members.
 // When the tasks carry a CellConfig::cache, all workers additionally share
 // that one immutable core::BinnedTraceCache: it is built before the fan-out
 // (or behind Experiment::binned_cache()'s call_once) and only read inside
@@ -74,9 +77,10 @@ struct RunOptions {
   /// fresh randomness. Ignored by the other policies.
   int max_attempts{3};
 
-  /// Per-cell watchdog: a cell that exceeds this wall-clock budget unwinds
-  /// with kDeadlineExceeded at its next cancellation poll instead of
-  /// stalling the pool. 0 disables the deadline.
+  /// Per-cell watchdog (for target twins, per shared attempt): a cell that
+  /// exceeds this wall-clock budget unwinds with kDeadlineExceeded at its
+  /// next cancellation poll instead of stalling the pool. 0 disables the
+  /// deadline.
   double cell_timeout_seconds{0};
 
   /// Optional sweep-wide cancellation (e.g. SIGINT handling): cells not yet
@@ -105,7 +109,8 @@ struct RunOptions {
   /// fault injection — wraps it unchanged). The flow workload plugs
   /// flow::run_flow_cell in here; the default packet workload leaves it
   /// empty. Must be deterministic in (config, task_index) for the
-  /// jobs-equivalence guarantee to hold.
+  /// jobs-equivalence guarantee to hold. Opaque, so its tasks are never
+  /// grouped as target twins.
   std::function<CellResult(const CellConfig& config, std::size_t task_index)>
       cell_runner{};
 };
@@ -177,6 +182,11 @@ class ParallelRunner {
   /// failure cancels the cells that have not started (they report
   /// kCancelled); under kSkip/kRetry the sweep always completes and failed
   /// cells are quarantined in the report. Never throws for cell failures.
+  /// Without a cell_runner, the tasks to execute whose derived configs
+  /// differ only in target run as one twin group: one selection per
+  /// replication scores them all, and each outcome (status, attempts,
+  /// attempt seeds, result and config) is the one the cell would get
+  /// alone. docs/PARALLELISM.md, "Task granularity", has the member rules.
   [[nodiscard]] RunReport run(const std::vector<GridTask>& tasks,
                               std::uint64_t base_seed, const RunOptions& opts);
 

@@ -1,6 +1,7 @@
 #include "exper/runner.h"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "core/select_indices.h"
@@ -115,41 +116,72 @@ void record_cell_run(const CellResult& result) {
 
 // Population from prefix-sum subtraction, replications via index-emitting
 // kernels + bin-id accumulation. No per-packet work outside the kernels
-// themselves. `begin` is the interval's offset within cache.base().
-CellResult score_cell(const CellConfig& config,
-                      const core::BinnedTraceCache& cache, std::size_t begin) {
+// themselves. `begin` is the interval's offset within cache.base(). A
+// member whose own scoring throws keeps that exception and sits out the
+// remaining replications; selection stops once no member is left.
+std::vector<TwinResult> score_twins(const CellConfig& config,
+                                    std::span<const core::Target> targets,
+                                    const core::BinnedTraceCache& cache,
+                                    std::size_t begin) {
   const std::size_t end = begin + config.interval.size();
-  const auto population =
-      cache.population_histogram(config.target, begin, end);
   const double fraction = 1.0 / static_cast<double>(config.granularity);
-  CellResult result;
-  result.config = config;
-  result.replications.reserve(static_cast<std::size_t>(config.replications));
-  for (int r = 0; r < config.replications; ++r) {
+  std::vector<TwinResult> out(targets.size());
+  std::vector<std::optional<stats::Histogram>> population(targets.size());
+  std::size_t live = 0;
+  for (std::size_t m = 0; m < targets.size(); ++m) {
+    out[m].result.config = config;
+    out[m].result.config.target = targets[m];
+    out[m].result.replications.reserve(
+        static_cast<std::size_t>(config.replications));
+    try {
+      population[m] = cache.population_histogram(targets[m], begin, end);
+      ++live;
+    } catch (const std::exception&) {
+      out[m].error = std::current_exception();
+    }
+  }
+  for (int r = 0; r < config.replications && live > 0; ++r) {
     util::throw_if_stopped(config.cancel);
     const auto indices =
         core::select_indices(replication_spec(config, r), cache, begin, end);
-    const auto observed =
-        cache.sample_histogram(config.target, indices, begin);
-    result.replications.push_back(
-        core::score_sample(observed, population, fraction));
+    for (std::size_t m = 0; m < targets.size(); ++m) {
+      if (out[m].error) continue;
+      try {
+        const auto observed =
+            cache.sample_histogram(targets[m], indices, begin);
+        out[m].result.replications.push_back(
+            core::score_sample(observed, *population[m], fraction));
+      } catch (const std::exception&) {
+        out[m].error = std::current_exception();
+        --live;
+      }
+    }
   }
-  record_cell_run(result);
-  return result;
+  for (const auto& member : out) {
+    if (!member.error) record_cell_run(member.result);
+  }
+  return out;
 }
 
 }  // namespace
 
-CellResult run_cell(const CellConfig& config) {
+std::vector<TwinResult> run_twins(const CellConfig& config,
+                                  std::span<const core::Target> targets) {
   validate_cell(config);
   util::throw_if_stopped(config.cancel);
   if (config.cache != nullptr && config.cache->contains(config.interval)) {
-    return score_cell(config, *config.cache,
-                      config.cache->offset_of(config.interval));
+    return score_twins(config, targets, *config.cache,
+                       config.cache->offset_of(config.interval));
   }
   // No attached cache covers the interval: bin one for this call.
   const core::BinnedTraceCache local(config.interval);
-  return score_cell(config, local, 0);
+  return score_twins(config, targets, local, 0);
+}
+
+CellResult run_cell(const CellConfig& config) {
+  auto scored = run_twins(config, {&config.target, 1});
+  if (scored[0].error) std::rethrow_exception(scored[0].error);
+  return std::move(scored[0].result);
 }
 
 // The oracle drives the deprecated per-packet classes through make_sampler.

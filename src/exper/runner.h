@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <span>
 #include <vector>
 
 #include "core/metrics.h"
@@ -64,8 +66,27 @@ struct CellResult {
 /// Run one experiment cell: each replication's index set comes from
 /// core::select_indices, its histogram from the cache's bin ids, and the
 /// population histogram from prefix-sum subtraction in O(bins). Throws
-/// std::invalid_argument for an empty interval or bad config.
+/// std::invalid_argument for an empty interval or bad config. The
+/// one-member case of run_twins.
 [[nodiscard]] CellResult run_cell(const CellConfig& config);
+
+/// One member's part of run_twins: `result` is valid iff `error` is null.
+struct TwinResult {
+  CellResult result;
+  std::exception_ptr error;  // what scoring this member threw
+};
+
+/// Internal: the group scorer behind run_cell and ParallelRunner::run, not
+/// part of the facade. Scores `config` once per entry of `targets` (the
+/// cell's target twins: the seed does not mix in the target, so twins
+/// select bit-identical index sets). select_indices runs once per
+/// replication and every member accumulates and scores from that index
+/// vector; member m's result equals run_cell(config with targets[m]) bit
+/// for bit. A throw while scoring one member fails only that member (its
+/// `error`); a throw from validation, the shared selection, cancellation or
+/// the deadline propagates and fails them all.
+[[nodiscard]] std::vector<TwinResult> run_twins(
+    const CellConfig& config, std::span<const core::Target> targets);
 
 /// The streaming oracle: the same cell scored by driving each replication's
 /// core::Sampler over the interval packet by packet, with the population

@@ -9,13 +9,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exper/experiment.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -588,6 +594,324 @@ TEST_F(ParallelPolicyTest, OnCellDoneFiresInTaskOrder) {
   ASSERT_TRUE(threaded.run(tasks, 23, opts).all_ok());
   ASSERT_EQ(order.size(), tasks.size());
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+// ---------------------------------------------------------------------------
+// Target twins: one selection per replication for a grid point's size and
+// interarrival cells
+// ---------------------------------------------------------------------------
+
+class ParallelRunnerTwins : public ParallelRunnerTest {
+ protected:
+  /// Leaves obs disabled and zeroed, as test_obs.cpp's fixture does.
+  struct ObsOn {
+    ObsOn() {
+      obs::registry().reset();
+      obs::set_enabled(true);
+    }
+    ~ObsOn() {
+      obs::set_enabled(false);
+      obs::registry().reset();
+    }
+  };
+
+  static std::uint64_t counter(const char* name) {
+    return obs::registry().counter(name).value();
+  }
+
+  /// The config a task runs with: its seed derived from its coordinates.
+  static exper::CellConfig derived(const exper::GridTask& task,
+                                   std::uint64_t base_seed) {
+    exper::CellConfig cfg = task.config;
+    cfg.base_seed = exper::task_seed(base_seed, cfg.method, cfg.granularity,
+                                     task.interval_index);
+    cfg.cancel = nullptr;
+    return cfg;
+  }
+
+  static void expect_same_config(const exper::CellConfig& a,
+                                 const exper::CellConfig& b,
+                                 const std::string& where) {
+    EXPECT_EQ(a.method, b.method) << where;
+    EXPECT_EQ(a.target, b.target) << where;
+    EXPECT_EQ(a.granularity, b.granularity) << where;
+    EXPECT_EQ(a.interval.packets().data(), b.interval.packets().data())
+        << where;
+    EXPECT_EQ(a.interval.size(), b.interval.size()) << where;
+    EXPECT_EQ(a.mean_interarrival_usec, b.mean_interarrival_usec) << where;
+    EXPECT_EQ(a.replications, b.replications) << where;
+    EXPECT_EQ(a.base_seed, b.base_seed) << where;
+    EXPECT_EQ(a.cache, b.cache) << where;
+    EXPECT_EQ(a.cancel, b.cancel) << where;
+  }
+
+  static void expect_same_replications(
+      const std::vector<core::DisparityMetrics>& a,
+      const std::vector<core::DisparityMetrics>& b, const std::string& where) {
+    ASSERT_EQ(a.size(), b.size()) << where;
+    EXPECT_TRUE(a.empty() ||
+                std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0)
+        << where;
+  }
+
+  /// Both targets x {systematic, stratified, random} x {8, 64}, three
+  /// replications each: 12 cells in 6 twin groups.
+  static std::vector<exper::GridTask> twin_grid() {
+    std::vector<exper::GridTask> tasks;
+    for (auto target :
+         {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
+      for (auto m : {core::Method::kSystematicCount,
+                     core::Method::kStratifiedCount,
+                     core::Method::kSimpleRandom}) {
+        for (std::uint64_t k : {8ULL, 64ULL}) {
+          exper::GridTask t;
+          t.config.method = m;
+          t.config.target = target;
+          t.config.granularity = k;
+          t.config.interval = ex_->interval(30.0);
+          t.config.mean_interarrival_usec = ex_->mean_interarrival_usec();
+          t.config.replications = 3;
+          t.config.cache = &ex_->binned_cache();
+          tasks.push_back(t);
+        }
+      }
+    }
+    return tasks;
+  }
+
+  /// A size/interarrival twin pair over a one-packet interval: the size
+  /// twin scores, the interarrival twin has no population to score against.
+  static std::vector<exper::GridTask> one_packet_twins() {
+    std::vector<exper::GridTask> tasks;
+    for (auto target :
+         {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
+      exper::GridTask t;
+      t.config.method = core::Method::kSystematicCount;
+      t.config.target = target;
+      t.config.granularity = 2;
+      t.config.interval =
+          trace::TraceView(ex_->full().packets().subspan(0, 1));
+      t.config.mean_interarrival_usec = ex_->mean_interarrival_usec();
+      t.config.replications = 1;
+      tasks.push_back(t);
+    }
+    return tasks;
+  }
+};
+
+TEST_F(ParallelRunnerTwins, FigureGridEqualsSerialRunCellAtEveryJobs) {
+  auto tasks = figure_grid();
+  // Same view, method and k but different interval indices, hence
+  // different seeds: not twins.
+  for (auto target :
+       {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
+    exper::GridTask t;
+    t.config.method = core::Method::kStratifiedCount;
+    t.config.target = target;
+    t.config.granularity = 32;
+    t.config.interval = ex_->interval(60.0);
+    t.config.mean_interarrival_usec = ex_->mean_interarrival_usec();
+    t.config.replications = 4;
+    t.interval_index = target == core::Target::kPacketSize ? 0 : 1;
+    tasks.push_back(t);
+  }
+  std::vector<exper::CellResult> serial;
+  for (const auto& t : tasks) serial.push_back(exper::run_cell(derived(t, 23)));
+  for (int jobs : {1, 2, 4}) {
+    exper::ParallelRunner runner(jobs);
+    const auto report = runner.run(tasks, 23, exper::RunOptions{});
+    ASSERT_EQ(report.cells.size(), tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const std::string where =
+          "jobs " + std::to_string(jobs) + " cell " + std::to_string(i);
+      ASSERT_TRUE(report.cells[i].status.is_ok()) << where;
+      expect_same_replications(report.cells[i].result.replications,
+                               serial[i].replications, where);
+      expect_same_config(report.cells[i].result.config, derived(tasks[i], 23),
+                         where);
+    }
+  }
+}
+
+TEST_F(ParallelRunnerTwins, OneSelectionPerGroupAndReplication) {
+  if (!obs::detail::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (NETSAMPLE_OBS=OFF)";
+  }
+  const auto tasks = twin_grid();
+  for (int jobs : {1, 3}) {
+    ObsOn obs_on;
+    exper::ParallelRunner runner(jobs);
+    ASSERT_TRUE(runner.run(tasks, 23, exper::RunOptions{}).all_ok());
+    EXPECT_EQ(counter("netsample_select_calls_total"), 6u * 3u)
+        << "jobs " << jobs;
+    EXPECT_EQ(counter("netsample_trace_cache_sample_histograms_total"),
+              12u * 3u)
+        << "jobs " << jobs;
+    EXPECT_EQ(counter("netsample_sweep_cells_total"), 12u) << "jobs " << jobs;
+  }
+}
+
+TEST_F(ParallelRunnerTwins, EmptyPopulationFailsOnlyTheInterarrivalTwin) {
+  const auto tasks = one_packet_twins();
+  auto expect_split = [&](const exper::RunReport& report,
+                          const std::string& where) {
+    ASSERT_EQ(report.cells.size(), 2u) << where;
+    const auto& size = report.cells[0];
+    const auto& iat = report.cells[1];
+    ASSERT_TRUE(size.status.is_ok()) << where;
+    ASSERT_EQ(size.result.replications.size(), 1u) << where;
+    EXPECT_EQ(size.result.replications[0].phi, 0.0) << where;
+    EXPECT_EQ(size.attempts, 1) << where;
+    EXPECT_EQ(iat.status.code(), StatusCode::kInternal) << where;
+    EXPECT_EQ(iat.status.message(), "score: empty population") << where;
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_same_config(report.cells[i].result.config, derived(tasks[i], 23),
+                         where + " cell " + std::to_string(i));
+    }
+  };
+
+  exper::RunOptions skip;
+  skip.on_error = exper::FailPolicy::kSkip;
+  for (int jobs : {1, 2}) {
+    exper::ParallelRunner runner(jobs);
+    expect_split(runner.run(tasks, 23, skip), "skip, jobs " +
+                                                  std::to_string(jobs));
+  }
+
+  exper::ParallelRunner serial(1);
+  expect_split(serial.run(tasks, 23, exper::RunOptions{}), "serial abort");
+  EXPECT_THROW((void)serial.run(tasks, 23), std::invalid_argument);
+
+  exper::RunOptions retry;
+  retry.on_error = exper::FailPolicy::kRetry;
+  retry.max_attempts = 3;
+  const obs::Counter& sampled =
+      obs::registry().counter("netsample_trace_cache_sample_histograms_total");
+  ObsOn obs_on;
+  const auto report = serial.run(tasks, 23, retry);
+  expect_split(report, "retry");
+  // The interarrival twin retried alone: two members on attempt 0, then
+  // one on each of attempts 1 and 2.
+  EXPECT_EQ(report.cells[1].attempts, 3);
+  EXPECT_EQ(report.cells[0].attempt_log.size(), 1u);
+  if (obs::detail::kCompiledIn) {
+    EXPECT_EQ(sampled.value(), 2u + 1u + 1u);
+  }
+}
+
+TEST_F(ParallelRunnerTwins, InjectedFailureRetriesOnlyThatTwin) {
+  auto tasks = twin_grid();
+  tasks = {tasks[2], tasks[8]};  // stratified k=8: size, then interarrival
+  ASSERT_EQ(tasks[1].config.target, core::Target::kInterarrivalTime);
+  exper::RunOptions opts;
+  opts.on_error = exper::FailPolicy::kRetry;
+  opts.fault_injector = [](std::size_t index, int attempt) {
+    return index == 1 && attempt == 0
+               ? Status(StatusCode::kInternal, "transient")
+               : Status::ok();
+  };
+  const std::uint64_t cell_seed = derived(tasks[0], 23).base_seed;
+  ASSERT_EQ(cell_seed, derived(tasks[1], 23).base_seed);
+  for (int jobs : {1, 2}) {
+    const std::string where = "jobs " + std::to_string(jobs);
+    exper::ParallelRunner runner(jobs);
+    const auto report = runner.run(tasks, 23, opts);
+    ASSERT_TRUE(report.all_ok()) << where;
+    const auto& size = report.cells[0];
+    ASSERT_EQ(size.attempt_log.size(), 1u) << where;
+    EXPECT_EQ(size.attempt_log[0].seed, cell_seed) << where;
+    const auto alone = exper::run_cell(derived(tasks[0], 23));
+    expect_same_replications(size.result.replications, alone.replications,
+                             where);
+    const auto& iat = report.cells[1];
+    ASSERT_EQ(iat.attempt_log.size(), 2u) << where;
+    EXPECT_EQ(iat.attempt_log[0].seed, cell_seed) << where;
+    EXPECT_EQ(iat.attempt_log[0].status.code(), StatusCode::kInternal);
+    const std::uint64_t retry_seed = derive_seed({cell_seed, 1});
+    EXPECT_EQ(iat.attempt_log[1].seed, retry_seed) << where;
+    exper::CellConfig retried = derived(tasks[1], 23);
+    retried.base_seed = retry_seed;
+    expect_same_replications(iat.result.replications,
+                             exper::run_cell(retried).replications, where);
+  }
+}
+
+TEST_F(ParallelRunnerTwins, JournaledTwinReplaysAndTheOtherRunsAlone) {
+  const auto tasks = twin_grid();
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string whole = (dir / "netsample_twins_whole.jsonl").string();
+  const std::string part = (dir / "netsample_twins_part.jsonl").string();
+  std::filesystem::remove(whole);
+  std::filesystem::remove(part);
+  auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  // Size twin of the stratified k=8 group, then the whole grid.
+  const std::vector<exper::GridTask> pair = {tasks[2], tasks[8]};
+  exper::ParallelRunner runner(2);
+  exper::RunReport uninterrupted;
+  {
+    auto journal = exper::CheckpointJournal::open(whole);
+    ASSERT_TRUE(journal.has_value());
+    exper::RunOptions opts;
+    opts.journal = &*journal;
+    uninterrupted = runner.run(pair, 23, opts);
+    ASSERT_TRUE(uninterrupted.all_ok());
+  }
+  {
+    auto journal = exper::CheckpointJournal::open(part);
+    ASSERT_TRUE(journal.has_value());
+    exper::RunOptions opts;
+    opts.journal = &*journal;
+    ASSERT_TRUE(runner.run({pair[0]}, 23, opts).all_ok());
+  }
+  auto journal = exper::CheckpointJournal::open(part);
+  ASSERT_TRUE(journal.has_value());
+  exper::RunOptions opts;
+  opts.journal = &*journal;
+  std::uint64_t selections = 0;
+  exper::RunReport resumed;
+  {
+    ObsOn obs_on;
+    resumed = runner.run(pair, 23, opts);
+    selections = counter("netsample_select_calls_total");
+  }
+  ASSERT_TRUE(resumed.all_ok());
+  EXPECT_TRUE(resumed.cells[0].from_journal);
+  EXPECT_FALSE(resumed.cells[1].from_journal);
+  EXPECT_EQ(resumed.cells[1].attempts, 1);
+  if (obs::detail::kCompiledIn) {
+    EXPECT_EQ(selections, 3u);  // the interarrival twin alone
+  }
+  for (std::size_t i = 0; i < pair.size(); ++i) {
+    expect_same_replications(resumed.cells[i].result.replications,
+                             uninterrupted.cells[i].result.replications,
+                             "cell " + std::to_string(i));
+    expect_same_config(resumed.cells[i].result.config,
+                       uninterrupted.cells[i].result.config,
+                       "cell " + std::to_string(i));
+  }
+  EXPECT_EQ(read(part), read(whole));
+  std::filesystem::remove(whole);
+  std::filesystem::remove(part);
+}
+
+TEST_F(ParallelRunnerTwins, CellRunnerTasksAreNeverGrouped) {
+  const auto tasks = twin_grid();
+  std::vector<std::atomic<int>> calls(tasks.size());
+  exper::RunOptions opts;
+  opts.cell_runner = [&calls](const exper::CellConfig& cfg, std::size_t i) {
+    calls[i].fetch_add(1);
+    return exper::run_cell(cfg);
+  };
+  exper::ParallelRunner runner(3);
+  const auto report = runner.run(tasks, 23, opts);
+  ASSERT_TRUE(report.all_ok());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "task " << i;
+    EXPECT_EQ(report.cells[i].result.config.target, tasks[i].config.target);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -148,6 +149,67 @@ TEST(SelectIndices, IdleGapHeavyTraceExercisesBothExpiryPolicies) {
     spec.mean_interarrival_usec = 700.0;
     spec.seed = seed;
     expect_kernel_matches_streaming(spec, cache, 0, t.size());
+  }
+}
+
+TEST(SelectIndices, TimerCursorsMatchTheOracleInSpans) {
+  // Timer period 200 us (mean interarrival 100 us, k = 2). Deadlines land
+  // exactly on the packets at multiples of 200; a run of equal timestamps
+  // and a 150-packet burst inside one period put the next selection more
+  // than a 64-packet span ahead; an idle gap skips hundreds of periods.
+  std::vector<std::uint64_t> times;
+  for (std::uint64_t t = 0; t <= 2000; t += 50) times.push_back(t);
+  for (int i = 0; i < 30; ++i) times.push_back(2100);
+  for (std::uint64_t i = 0; i < 150; ++i) times.push_back(2150 + i / 10);
+  times.push_back(2400);
+  for (std::uint64_t i = 0; i < 100; ++i) times.push_back(90000 + 7 * i);
+  for (std::uint64_t i = 0; i < 80; ++i) {
+    times.push_back(91000 + (i / 20) * 200);  // runs of 20 equal stamps
+  }
+  std::vector<trace::PacketRecord> v;
+  for (const auto ts : times) {
+    trace::PacketRecord p;
+    p.timestamp = MicroTime{ts};
+    p.size = 100;
+    v.push_back(p);
+  }
+  const trace::Trace t{std::move(v)};
+  const BinnedTraceCache cache(t.view());
+  const auto ts = cache.timestamps();
+  constexpr std::size_t kSpan = 64;
+
+  auto check = [&](const SamplerSpec& spec) {
+    const auto expected = draw_sample_indices(t.view(), *make_sampler(spec));
+    SelectCursor cursor(spec);
+    cursor.begin(ts.front());
+    std::vector<std::size_t> spanned;
+    for (std::size_t b = 0; b < ts.size(); b += kSpan) {
+      cursor.advance(ts.subspan(b, std::min(kSpan, ts.size() - b)), &spanned);
+    }
+    EXPECT_EQ(spanned, expected) << "64-packet spans, " << describe(spec);
+    EXPECT_EQ(select_indices(spec, cache, 0, t.size()), expected)
+        << describe(spec);
+  };
+  for (const auto policy : {ExpiryPolicy::kCoalesce, ExpiryPolicy::kQueue}) {
+    for (std::uint64_t k : {1ULL, 2ULL, 3ULL}) {
+      for (std::uint64_t phase : {0ULL, 50ULL}) {
+        SamplerSpec spec;
+        spec.method = Method::kSystematicTimer;
+        spec.granularity = k;
+        spec.mean_interarrival_usec = 100.0;
+        spec.timer_phase_usec = phase;
+        spec.expiry_policy = policy;
+        check(spec);
+      }
+    }
+  }
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    SamplerSpec spec;
+    spec.method = Method::kStratifiedTimer;
+    spec.granularity = 2;
+    spec.mean_interarrival_usec = 100.0;
+    spec.seed = seed;
+    check(spec);
   }
 }
 
