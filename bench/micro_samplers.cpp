@@ -6,8 +6,13 @@
 //
 // The BM_Kernel* group times select_indices (core/select_indices.h), the
 // one implementation of each paper method, over the whole trace at k = 50
-// and 1024; items/sec is offered packets. The deprecated streaming classes
-// are timed end to end only by micro_sweep's legacy column.
+// and 1024 (and the ladder's ends, 2 and 32768, where a method's cost
+// depends on k); items/sec is offered packets. The 2-minute trace holds
+// 49.7k packets, about six blocks of the batched RNG kernels' lane source
+// (core/simd/lanes.h), so BM_Kernel*Hour repeats the two batched methods
+// over the synthetic hour's 1.5M+ packets, the views perfbench's grids
+// select from. The deprecated streaming classes are timed end to end only
+// by micro_sweep's legacy column.
 //
 // BM_StreamEngine runs stream::Engine in the shape of one serve session:
 // 10 lanes (5 replications x both targets) at k = 50, a 30 s window with a
@@ -39,18 +44,27 @@ const core::BinnedTraceCache& bench_cache() {
   return cache;
 }
 
-core::SamplerSpec kernel_spec(core::Method m, std::uint64_t k) {
+/// The synthetic hour: 1.5M+ packets, built on first use.
+const core::BinnedTraceCache& hour_cache() {
+  static const trace::Trace t =
+      synth::TraceModel(synth::sdsc_hour_config(23)).generate();
+  static const core::BinnedTraceCache cache(t.view());
+  return cache;
+}
+
+core::SamplerSpec kernel_spec(core::Method m, std::uint64_t k,
+                              std::size_t population = bench_trace().size()) {
   core::SamplerSpec spec;
   spec.method = m;
   spec.granularity = k;
-  spec.population = bench_trace().size();
+  spec.population = population;
   spec.mean_interarrival_usec = 2358.0;
   spec.seed = 7;
   return spec;
 }
 
-void run_kernel(benchmark::State& state, const core::SamplerSpec& spec) {
-  const auto& cache = bench_cache();
+void run_kernel(benchmark::State& state, const core::SamplerSpec& spec,
+                const core::BinnedTraceCache& cache = bench_cache()) {
   std::size_t selected = 0;
   for (auto _ : state) {
     auto indices = core::select_indices(spec, cache, 0, cache.size());
@@ -73,13 +87,37 @@ void BM_KernelStratifiedCount(benchmark::State& state) {
   run_kernel(state, kernel_spec(core::Method::kStratifiedCount,
                                 static_cast<std::uint64_t>(state.range(0))));
 }
-BENCHMARK(BM_KernelStratifiedCount)->Arg(50)->Arg(1024);
+BENCHMARK(BM_KernelStratifiedCount)->Arg(2)->Arg(50)->Arg(1024)->Arg(32768);
 
 void BM_KernelSimpleRandom(benchmark::State& state) {
   run_kernel(state, kernel_spec(core::Method::kSimpleRandom,
                                 static_cast<std::uint64_t>(state.range(0))));
 }
-BENCHMARK(BM_KernelSimpleRandom)->Arg(50)->Arg(1024);
+BENCHMARK(BM_KernelSimpleRandom)->Arg(2)->Arg(50)->Arg(1024)->Arg(32768);
+
+void BM_KernelStratifiedCountHour(benchmark::State& state) {
+  const auto& cache = hour_cache();
+  run_kernel(state,
+             kernel_spec(core::Method::kStratifiedCount,
+                         static_cast<std::uint64_t>(state.range(0)),
+                         cache.size()),
+             cache);
+}
+BENCHMARK(BM_KernelStratifiedCountHour)
+    ->Arg(2)->Arg(50)->Arg(1024)->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_KernelSimpleRandomHour(benchmark::State& state) {
+  const auto& cache = hour_cache();
+  run_kernel(state,
+             kernel_spec(core::Method::kSimpleRandom,
+                         static_cast<std::uint64_t>(state.range(0)),
+                         cache.size()),
+             cache);
+}
+BENCHMARK(BM_KernelSimpleRandomHour)
+    ->Arg(2)->Arg(50)->Arg(1024)->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_KernelSystematicTimer(benchmark::State& state) {
   run_kernel(state, kernel_spec(core::Method::kSystematicTimer,

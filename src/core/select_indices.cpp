@@ -135,18 +135,26 @@ void SelectCursor::advance(std::span<const std::uint64_t> ts,
     case Method::kSimpleRandom: {
       // Algorithm S: packets past the declared population are never offered
       // a draw, and once the sample is full the streaming sampler stops
-      // drawing — so we stop scanning.
+      // drawing — so we stop scanning. Branch-free, with t = n - selected:
+      // each scanned position is written to the next free slot of `kept`,
+      // which t -= (draw < t) advances only on acceptance. At most 63
+      // acceptances precede a run's 64th write, so 64 slots hold a run of
+      // 64 positions, and *out grows only by what is selected.
       const std::uint64_t limit = std::min(end, population_);
       Rng rng = rng_;
-      std::uint64_t selected = selected_;
-      for (std::uint64_t i = pos_; i < limit && selected < pick_; ++i) {
-        if (rng.uniform_below(population_ - i) < pick_ - selected) {
-          out->push_back(static_cast<std::size_t>(i));
-          ++selected;
+      std::uint64_t t = pick_ - selected_;
+      std::size_t kept[64];
+      for (std::uint64_t i = pos_; i < limit && t != 0;) {
+        const std::uint64_t stop = std::min<std::uint64_t>(limit, i + 64);
+        const std::uint64_t t_run = t;
+        for (; i < stop && t != 0; ++i) {
+          kept[t_run - t] = static_cast<std::size_t>(i);
+          t -= rng.uniform_below(population_ - i) < t;
         }
+        out->insert(out->end(), kept, kept + (t_run - t));
       }
       rng_ = rng;
-      selected_ = selected;
+      selected_ = pick_ - t;
       break;
     }
     case Method::kSystematicTimer: {

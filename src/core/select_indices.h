@@ -9,7 +9,7 @@
 //   systematic/count   O(n)                       O(n/k)   strided arithmetic
 //   stratified/count   O(n)                       O(n/k)   one RNG draw/bucket
 //   simple random      O(n)                       O(n)     Algorithm S, branch-
-//                                                          light, early exit
+//                                                          free, early exit
 //   systematic/timer   O(n)                       O(s log(n/s))  galloping
 //   stratified/timer   O(n)                       O(s log(n/s))  per deadline
 //

@@ -20,13 +20,28 @@
 // bin_ladders.cpp and the cursors in select_indices.cpp) remains the
 // reference, and the streaming samplers remain the oracle underneath both.
 //
+// The two batched RNG kernels read one block word source (lanes.h). A
+// block is 4B consecutive xoshiro256** words, B = kLaneWords; four AVX2
+// lanes start at the block's first state and at that state jumped ahead by
+// B, 2B and 3B words — xoshiro's 256-step jump() loop run with the
+// hard-coded constants x^B, x^2B, x^3B mod p, p the generator's
+// characteristic polynomial — so lane j yields the scalar Rng's words
+// jB .. jB+B-1 of the block, and each lane computes Lemire's sample and low
+// word for its own positions. Replay rule: a block in which any offered
+// word might be rejected (low word < bound; about one word in 2^32), and a
+// pass's last block when it fits in one lane, run instead from the
+// block's start state through the scalar Rng::uniform_below; the next
+// block starts where that Rng stopped, so the words consumed, rejections
+// included, are the scalar sequence.
+//
 // A requested variant that is not compiled in or not supported by the CPU
 // falls back to scalar (never to a different vector ISA), so forcing
 // "neon" on x86 is safe and deterministic.
 //
-// This header and the simd/*.cpp translation units are deliberately
-// self-contained (util/rng.h is their only project include) so the CI
-// NEON leg can cross-compile them standalone with just -Isrc.
+// This header, lanes.h and the simd/*.cpp translation units are
+// deliberately self-contained (util/rng.h is their only project include
+// outside simd/) so the CI NEON leg can cross-compile them standalone with
+// just -Isrc; kernels_neon.cpp includes only this header.
 #pragma once
 
 #include <cstddef>

@@ -4,20 +4,6 @@
 
 namespace netsample {
 
-std::uint64_t Rng::uniform_below(std::uint64_t bound) {
-  if (bound == 0) return 0;
-  // Lemire's method with rejection to remove bias.
-  std::uint64_t threshold = (-bound) % bound;
-  for (;;) {
-    const std::uint64_t r = (*this)();
-    const unsigned __int128 m =
-        static_cast<unsigned __int128>(r) * static_cast<unsigned __int128>(bound);
-    if (static_cast<std::uint64_t>(m) >= threshold) {
-      return static_cast<std::uint64_t>(m >> 64);
-    }
-  }
-}
-
 double Rng::exponential(double mean) {
   // Inverse CDF; guard against log(0).
   double u;

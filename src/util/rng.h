@@ -59,6 +59,10 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+namespace detail {
+struct RngState;
+}  // namespace detail
+
 /// xoshiro256** 1.0 — fast, high-quality 64-bit generator.
 /// Satisfies the C++ UniformRandomBitGenerator requirements.
 class Rng {
@@ -92,8 +96,22 @@ class Rng {
   /// replication / each flow its own stream without coupling.
   [[nodiscard]] Rng split() { return Rng((*this)()); }
 
-  /// Uniform integer in [0, bound). Lemire's unbiased multiply-shift method.
-  [[nodiscard]] std::uint64_t uniform_below(std::uint64_t bound);
+  /// Uniform integer in [0, bound). Lemire's unbiased multiply-shift method:
+  /// a word is rejected when the product's low word falls below
+  /// 2^64 mod bound. That threshold is below `bound`, so it is computed
+  /// (one division) only for the rare word whose low word is below `bound`;
+  /// the draws are those of testing every word against it.
+  [[nodiscard]] std::uint64_t uniform_below(std::uint64_t bound) {
+    if (bound == 0) return 0;
+    Wide m = static_cast<Wide>((*this)()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] {
+      const std::uint64_t threshold = (-bound) % bound;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<Wide>((*this)()) * bound;
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::uint64_t uniform_in(std::uint64_t lo, std::uint64_t hi) {
@@ -134,6 +152,12 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) { return uniform01() < p; }
 
  private:
+  friend struct detail::RngState;
+
+  // The 128-bit product of Lemire's method (a GCC/Clang extension, so
+  // -Wpedantic consumers of this header stay quiet).
+  __extension__ typedef unsigned __int128 Wide;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
@@ -143,4 +167,26 @@ class Rng {
   double cached_normal_{0.0};
 };
 
+namespace detail {
+
+/// Internal (docs/API.md): a generator's raw 256-bit xoshiro256** state,
+/// which the batched SIMD kernels' jump-ahead lanes start from and replay
+/// from (core/simd/lanes.h).
+struct RngState {
+  using Words = std::array<std::uint64_t, 4>;
+
+  [[nodiscard]] static constexpr Words of(const Rng& rng) {
+    return rng.state_;
+  }
+
+  /// The generator whose next word is the one a generator in `words`
+  /// would return next: of() round-trips through it.
+  [[nodiscard]] static constexpr Rng resume(const Words& words) {
+    Rng rng;
+    rng.state_ = words;
+    return rng;
+  }
+};
+
+}  // namespace detail
 }  // namespace netsample

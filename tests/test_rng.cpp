@@ -80,6 +80,50 @@ TEST(Rng, UniformBelowZeroReturnsZero) {
   EXPECT_EQ(rng.uniform_below(0), 0u);
 }
 
+/// Lemire's method as it stood before the threshold became lazy: the
+/// threshold 2^64 mod bound computed up front and every word tested
+/// against it. uniform_below must draw exactly these values.
+std::uint64_t eager_uniform_below(Rng& rng, std::uint64_t bound) {
+  if (bound == 0) return 0;
+  const std::uint64_t threshold = (-bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(r) * static_cast<unsigned __int128>(bound);
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+  }
+}
+
+TEST(Rng, UniformBelowDrawsWhatTheEagerThresholdLoopDraws) {
+  // 2^63 + 1 rejects about half its words; 2^32 +- 1 and 2^64 - 1 reject
+  // far more often than the sampler bounds (< 2^32) ever do.
+  const std::uint64_t bounds[] = {
+      1ULL,          2ULL,          3ULL,
+      (1ULL << 32) - 1, (1ULL << 32) + 1, 1ULL << 63,
+      (1ULL << 63) + 1, ~0ULL};
+  for (const std::uint64_t seed : {1ULL, 7ULL, 2024ULL, 0xDEADBEEFULL}) {
+    for (const std::uint64_t bound : bounds) {
+      Rng lazy(seed), eager(seed);
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(lazy.uniform_below(bound), eager_uniform_below(eager, bound))
+            << "seed " << seed << " bound " << bound << " draw " << i;
+      }
+      // Same words consumed, rejections included.
+      EXPECT_EQ(lazy(), eager()) << "seed " << seed << " bound " << bound;
+    }
+  }
+}
+
+TEST(Rng, ResumedStateContinuesTheSequence) {
+  Rng rng(99);
+  for (int i = 0; i < 37; ++i) (void)rng();
+  Rng resumed = detail::RngState::resume(detail::RngState::of(rng));
+  EXPECT_EQ(detail::RngState::of(resumed), detail::RngState::of(rng));
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(resumed(), rng());
+}
+
 TEST(Rng, UniformBelowCoversAllResidues) {
   Rng rng(13);
   std::set<std::uint64_t> seen;

@@ -213,6 +213,42 @@ TEST(SelectIndices, TimerCursorsMatchTheOracleInSpans) {
   }
 }
 
+TEST(SelectIndices, SimpleRandomCursorMatchesTheOracleInSpans) {
+  // Algorithm S resumed at every span boundary: spans of 1, 63 and 64
+  // packets cut the scan mid-sample, and a declared population below, equal
+  // to and above the view ends the scan at the population, at the sample's
+  // completion, or at the view's end with the sample short.
+  const auto t = fuzz_trace(77, 700);
+  const BinnedTraceCache cache(t.view());
+  const auto ts = cache.timestamps();
+  const std::size_t n = ts.size();
+  for (const std::size_t population : {n - 150, n, n + 150}) {
+    for (const std::uint64_t k : {1ULL, 2ULL, 3ULL, 7ULL, 50ULL, 1000ULL}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        SamplerSpec spec;
+        spec.method = Method::kSimpleRandom;
+        spec.granularity = k;
+        spec.population = population;
+        spec.seed = seed;
+        const auto expected =
+            draw_sample_indices(t.view(), *make_sampler(spec));
+        for (const std::size_t span : {1u, 63u, 64u}) {
+          SelectCursor cursor(spec);
+          cursor.begin(ts.front());
+          std::vector<std::size_t> spanned;
+          for (std::size_t b = 0; b < n; b += span) {
+            cursor.advance(ts.subspan(b, std::min(span, n - b)), &spanned);
+          }
+          EXPECT_EQ(spanned, expected)
+              << span << "-packet spans, " << describe(spec);
+        }
+        EXPECT_EQ(select_indices(spec, cache, 0, n), expected)
+            << describe(spec);
+      }
+    }
+  }
+}
+
 TEST(SelectIndices, EmptyIntervalSelectsNothing) {
   const auto t = fuzz_trace(5, 100);
   const BinnedTraceCache cache(t.view());

@@ -17,7 +17,9 @@
 #include <limits>
 #include <vector>
 
+#include "core/samplers.h"
 #include "core/select_indices.h"
+#include "core/simd/lanes.h"
 #include "core/targets.h"
 #include "core/trace_cache.h"
 #include "exper/experiment.h"
@@ -25,6 +27,11 @@
 #include "exper/runner.h"
 #include "stats/histogram.h"
 #include "util/rng.h"
+
+// make_sampler is deprecated since v1.3: the lane-block tests compare the
+// batched kernels against the streaming oracle it builds.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace netsample {
 namespace {
@@ -526,5 +533,260 @@ TEST_F(SimdGridTest, FullGridPhiBitIdenticalAcrossVariantsAndJobs) {
   }
 }
 
+// --------------------------------------------------------------------------
+// The four-lane block source (core/simd/lanes.h): its jump constants, its
+// words, and both batched kernels over views that span many blocks.
+
+using Poly = simd::Poly256;
+using Words = detail::RngState::Words;
+
+/// Berlekamp-Massey over GF(2): the connection polynomial c (c[0] = 1) of
+/// the shortest linear recurrence that generates `bits`.
+std::vector<std::uint8_t> berlekamp_massey(
+    const std::vector<std::uint8_t>& bits) {
+  const std::size_t n = bits.size();
+  std::vector<std::uint8_t> c(n + 1, 0), b(n + 1, 0);
+  c[0] = b[0] = 1;
+  std::size_t l = 0, m = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint8_t d = bits[i];
+    for (std::size_t j = 1; j <= l; ++j) d ^= c[j] & bits[i - j];
+    if (d == 0) {
+      ++m;
+      continue;
+    }
+    const std::vector<std::uint8_t> before = c;
+    for (std::size_t j = 0; j + m <= n; ++j) c[j + m] ^= b[j];
+    if (2 * l <= i) {
+      l = i + 1 - l;
+      b = before;
+      m = 1;
+    } else {
+      ++m;
+    }
+  }
+  c.resize(l + 1);
+  return c;
+}
+
+/// a * x mod p, where p = x^256 + p_low.
+Poly times_x(Poly a, const Poly& p_low) {
+  const bool carry = (a[3] >> 63) != 0;
+  for (std::size_t w = 3; w > 0; --w) a[w] = (a[w] << 1) | (a[w - 1] >> 63);
+  a[0] <<= 1;
+  if (carry) {
+    for (std::size_t w = 0; w < 4; ++w) a[w] ^= p_low[w];
+  }
+  return a;
+}
+
+Poly mulmod(const Poly& a, const Poly& b, const Poly& p_low) {
+  Poly r{};
+  for (int i = 255; i >= 0; --i) {
+    r = times_x(r, p_low);
+    if ((b[static_cast<std::size_t>(i) / 64] >> (i % 64) & 1) != 0) {
+      for (std::size_t w = 0; w < 4; ++w) r[w] ^= a[w];
+    }
+  }
+  return r;
+}
+
+/// x^n mod p by square-and-multiply.
+Poly x_pow_mod(std::uint64_t n, const Poly& p_low) {
+  Poly result{1, 0, 0, 0};
+  Poly base{2, 0, 0, 0};
+  for (; n != 0; n >>= 1) {
+    if ((n & 1) != 0) result = mulmod(result, base, p_low);
+    base = mulmod(base, base, p_low);
+  }
+  return result;
+}
+
+/// xoshiro's published jump() loop with the constant `poly`.
+Words jumped(const Words& start, const Poly& poly) {
+  Rng rng = detail::RngState::resume(start);
+  Words acc{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    if ((poly[i / 64] >> (i % 64) & 1) != 0) {
+      const Words now = detail::RngState::of(rng);
+      for (std::size_t w = 0; w < 4; ++w) acc[w] ^= now[w];
+    }
+    (void)rng();
+  }
+  return acc;
+}
+
+TEST(SimdLanes, JumpConstantsAreTheRecomputedPowersOfX) {
+  // The characteristic polynomial p of xoshiro256**'s linear engine, found
+  // by Berlekamp-Massey over 512 bits of one state bit's sequence.
+  Rng rng(1);
+  std::vector<std::uint8_t> bits;
+  for (int i = 0; i < 512; ++i) {
+    bits.push_back(
+        static_cast<std::uint8_t>(detail::RngState::of(rng)[0] & 1));
+    (void)rng();
+  }
+  const std::vector<std::uint8_t> c = berlekamp_massey(bits);
+  ASSERT_EQ(c.size(), 257u) << "the recurrence must have degree 256";
+  Poly p_low{};  // p = x^256 + p_low; x^(256 - j) has coefficient c[j]
+  for (std::size_t j = 1; j <= 256; ++j) {
+    const std::size_t i = 256 - j;
+    if (c[j] != 0) p_low[i / 64] |= 1ULL << (i % 64);
+  }
+  // p is right: the published 2^128-step jump() constant is x^(2^128) mod p.
+  Poly big{2, 0, 0, 0};
+  for (int i = 0; i < 128; ++i) big = mulmod(big, big, p_low);
+  EXPECT_EQ(big, (Poly{0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                       0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL}));
+  for (std::size_t j = 0; j < simd::kLaneJumps.size(); ++j) {
+    EXPECT_EQ(simd::kLaneJumps[j], x_pow_mod((j + 1) * simd::kLaneWords, p_low))
+        << "x^" << (j + 1) << "B mod p";
+  }
+}
+
+TEST(SimdLanes, JumpConstantsMoveAStateAsSingleSteps) {
+  for (const std::uint64_t seed : {1ULL, 23ULL, 0xC0FFEEULL}) {
+    const Words start = detail::RngState::of(Rng(seed));
+    for (std::size_t j = 0; j < simd::kLaneJumps.size(); ++j) {
+      Rng stepped = detail::RngState::resume(start);
+      for (std::size_t i = 0; i < (j + 1) * simd::kLaneWords; ++i) {
+        (void)stepped();
+      }
+      EXPECT_EQ(jumped(start, simd::kLaneJumps[j]),
+                detail::RngState::of(stepped))
+          << "seed " << seed << ", lane " << j + 1;
+    }
+  }
+}
+
+TEST(SimdLanes, LaneWordsAreTheRngWords) {
+  if (!simd::variant_available(simd::Variant::kAvx2)) {
+    GTEST_SKIP() << "no AVX2";
+  }
+  // Three whole blocks and the start of a fourth.
+  const std::size_t n = 3 * 4 * simd::kLaneWords + 5;
+  for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL, 2024ULL, ~0ULL}) {
+    std::vector<std::uint64_t> words(n);
+    ASSERT_TRUE(simd::avx2_lane_words(seed, words));
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(words[i], rng()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+/// The scalar cursor's selection over n offered packets (count methods
+/// read only the span's length).
+std::vector<std::size_t> cursor_indices(const core::SamplerSpec& spec,
+                                        std::size_t n) {
+  const std::vector<std::uint64_t> ts(n, 0);
+  core::SelectCursor cursor(spec);
+  std::vector<std::size_t> out;
+  cursor.advance(ts, &out);
+  return out;
+}
+
+/// View lengths around one and two lane blocks.
+std::vector<std::size_t> block_spanning_lengths() {
+  const std::size_t block = 4 * simd::kLaneWords;
+  return {block - 1, block, block + 1, 2 * block + 3};
+}
+
+/// Declared populations below, equal to and above a view of `len` packets.
+std::vector<std::size_t> populations_around(std::size_t len) {
+  return {len - simd::kLaneWords - 7, len, len + simd::kLaneWords + 7};
+}
+
+TEST_P(SimdKernelsTest, BatchedSamplersMatchCursorAndOracleAcrossLaneBlocks) {
+  if (GetParam() == simd::Variant::kScalar) GTEST_SKIP() << "no vector ISA";
+  const trace::Trace t = fuzz_trace(31, 300000);
+  const core::BinnedTraceCache cache(t.view());
+  Rng rng(3);
+  for (const std::size_t len : block_spanning_lengths()) {
+    const std::size_t b = rng.uniform_below(cache.size() - len);
+    const trace::TraceView view(t.view().packets().subspan(b, len));
+    for (const std::uint64_t k :
+         {1ULL, 2ULL, 3ULL, 50ULL, 1024ULL, 32768ULL,
+          static_cast<unsigned long long>(len) + 1}) {
+      std::vector<core::SamplerSpec> specs;
+      core::SamplerSpec spec;
+      spec.granularity = k;
+      spec.method = core::Method::kStratifiedCount;
+      spec.seed = rng();
+      specs.push_back(spec);
+      for (const std::size_t population : populations_around(len)) {
+        spec.method = core::Method::kSimpleRandom;
+        spec.population = population;
+        spec.seed = rng();
+        specs.push_back(spec);
+      }
+      for (const auto& s : specs) {
+        std::vector<std::size_t> ref, got;
+        {
+          VariantGuard guard(simd::Variant::kScalar);
+          ref = core::select_indices(s, cache, b, b + len);
+        }
+        {
+          VariantGuard guard(GetParam());
+          got = core::select_indices(s, cache, b, b + len);
+        }
+        const auto oracle = core::draw_sample_indices(view, *core::make_sampler(s));
+        const std::string where = std::string(core::method_name(s.method)) +
+                                  " k=" + std::to_string(k) +
+                                  " len=" + std::to_string(len) +
+                                  " population=" + std::to_string(s.population);
+        ASSERT_EQ(ref, oracle) << where;
+        ASSERT_EQ(got, ref) << where;
+      }
+    }
+  }
+}
+
+TEST(SimdLanes, ReplayingEveryBlockKeepsTheIndices) {
+  if (!simd::variant_available(simd::Variant::kAvx2)) {
+    GTEST_SKIP() << "no AVX2";
+  }
+  const simd::KernelTable& lanes = simd::kernels_for(simd::Variant::kAvx2);
+  const simd::KernelTable& replay = simd::avx2_replay_kernel_table();
+  ASSERT_NE(replay.stratified_count, nullptr);
+  ASSERT_NE(replay.simple_random, nullptr);
+  std::vector<std::size_t> lengths = block_spanning_lengths();
+  lengths.push_back(100000);
+  Rng rng(11);
+  for (const std::size_t n : lengths) {
+    for (const std::uint64_t k :
+         {1ULL, 2ULL, 3ULL, 50ULL, 1024ULL, 32768ULL,
+          static_cast<unsigned long long>(n) + 1}) {
+      core::SamplerSpec spec;
+      spec.method = core::Method::kStratifiedCount;
+      spec.granularity = k;
+      spec.seed = rng();
+      std::vector<std::size_t> vec, rep;
+      ASSERT_TRUE(lanes.stratified_count(k, spec.seed, n, &vec));
+      ASSERT_TRUE(replay.stratified_count(k, spec.seed, n, &rep));
+      const auto ref = cursor_indices(spec, n);
+      ASSERT_EQ(vec, ref) << "stratified k=" << k << " n=" << n;
+      ASSERT_EQ(rep, ref) << "stratified replay k=" << k << " n=" << n;
+      for (const std::size_t population : populations_around(n)) {
+        spec.method = core::Method::kSimpleRandom;
+        spec.population = population;
+        spec.seed = rng();
+        const std::uint64_t pick = core::spec_simple_random_n(spec);
+        const std::uint64_t limit = std::min<std::uint64_t>(n, population);
+        ASSERT_TRUE(lanes.simple_random(pick, population, limit, spec.seed, &vec));
+        ASSERT_TRUE(
+            replay.simple_random(pick, population, limit, spec.seed, &rep));
+        const auto sref = cursor_indices(spec, n);
+        ASSERT_EQ(vec, sref) << "simple random k=" << k << " n=" << n
+                             << " population=" << population;
+        ASSERT_EQ(rep, sref) << "simple random replay k=" << k << " n=" << n
+                             << " population=" << population;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace netsample
+
+#pragma GCC diagnostic pop
